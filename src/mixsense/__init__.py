@@ -11,8 +11,6 @@ from .core import (
     SvdResult,
     finite_quantile,
     rel_fro_error,
-    rip_deficit,
-    snr,
     subspace_distance,
     svd,
     truncated_gaussian_second_moment,
@@ -76,11 +74,9 @@ from .synth import (
     GroundTruth,
     check_assumption1,
     incoherence,
-    load_dataset,
     make_ground_truth,
     random_orthonormal,
     sample_dataset,
-    save_dataset,
 )
 
 __version__ = "0.1.0"

@@ -3,12 +3,13 @@ noise sweeps driven by JSON configs, with CSV outputs.
 
 Usage::
 
-    mixsense run         --config cfg.json --out outdir [--threads k] [--deterministic]
-    mixsense trace       --config cfg.json --out outdir ...
-    mixsense sweep-noise --config cfg.json --out outdir ...
+    mixsense run         --config cfg.json --out outdir
+    mixsense trace       --config cfg.json --out outdir
+    mixsense sweep-noise --config cfg.json --out outdir
 
 Exit codes: 0 success, 2 config error, 3 numerical failure (partial CSV
-output is flushed before exiting).
+output, including every trial finished before the failure, is flushed
+before exiting).
 """
 
 import argparse
@@ -16,7 +17,6 @@ import csv
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import List, Optional, Union
@@ -103,7 +103,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("pipeline section must be an object")
     cfg.resolved_n()
     # fail fast on bad pipeline knobs
-    _pipeline_config(cfg, seed=cfg.seed, threads=1)
+    _pipeline_config(cfg, seed=cfg.seed)
     return cfg
 
 
@@ -116,22 +116,21 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def _pipeline_config(cfg: ExperimentConfig, seed: int, threads: int) -> PipelineConfig:
+def _pipeline_config(cfg: ExperimentConfig, seed: int) -> PipelineConfig:
     section = dict(cfg.pipeline)
     section.setdefault("supplied_ranks", cfg.ranks)
     try:
-        return PipelineConfig(k_components=cfg.K, seed=seed, threads=threads, **section)
+        return PipelineConfig(k_components=cfg.K, seed=seed, **section)
     except (TypeError, InvalidInputError) as exc:
         raise ConfigError(f"bad pipeline section: {exc}") from exc
 
 
-def _run_trial(cfg: ExperimentConfig, sigma: float, trial: int, sigma_idx: int = 0,
-               threads: int = 1):
+def _run_trial(cfg: ExperimentConfig, sigma: float, trial: int, sigma_idx: int = 0):
     seed = cfg.seed + TRIAL_STRIDE * trial + SIGMA_STRIDE * sigma_idx
     gt = make_ground_truth(
         cfg.n1, cfg.n2, cfg.ranks, cfg.resolved_proportions(), cfg.resolved_spectra(), seed,
     )
-    pipe_cfg = _pipeline_config(cfg, seed=seed, threads=threads)
+    pipe_cfg = _pipeline_config(cfg, seed=seed)
     d_main = sample_dataset(gt, cfg.resolved_n(), sigma, seed)
     d_mlr = None
     if pipe_cfg.theory_mode or not pipe_cfg.reuse_samples:
@@ -154,18 +153,14 @@ def _scalar_sigma(cfg: ExperimentConfig) -> float:
     return float(cfg.sigma)
 
 
-def cmd_run(cfg: ExperimentConfig, out: Path, threads: int) -> int:
+def cmd_run(cfg: ExperimentConfig, out: Path) -> int:
     sigma = _scalar_sigma(cfg)
     summary_rows: List[list] = []
     reports: List[dict] = []
     code = 0
     try:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda t: _run_trial(cfg, sigma, t), range(cfg.trials)))
-        else:
-            results = [_run_trial(cfg, sigma, t) for t in range(cfg.trials)]
-        for seed, report in results:
+        for t in range(cfg.trials):
+            seed, report = _run_trial(cfg, sigma, t)
             reports.append({"seed": seed, "report": report.to_json_dict()})
             for k, comp in enumerate(report.per_component):
                 summary_rows.append(
@@ -182,12 +177,12 @@ def cmd_run(cfg: ExperimentConfig, out: Path, threads: int) -> int:
     return code
 
 
-def cmd_trace(cfg: ExperimentConfig, out: Path, threads: int) -> int:
+def cmd_trace(cfg: ExperimentConfig, out: Path) -> int:
     sigma = _scalar_sigma(cfg)
     rows: List[list] = []
     code = 0
     try:
-        _, report = _run_trial(cfg, sigma, trial=0, threads=threads)
+        _, report = _run_trial(cfg, sigma, trial=0)
         for k, comp in enumerate(report.per_component):
             for t, tau, kept, err in comp.trace.rows():
                 rows.append([t, k, err, tau, kept])
@@ -198,7 +193,7 @@ def cmd_trace(cfg: ExperimentConfig, out: Path, threads: int) -> int:
     return code
 
 
-def cmd_sweep_noise(cfg: ExperimentConfig, out: Path, threads: int) -> int:
+def cmd_sweep_noise(cfg: ExperimentConfig, out: Path) -> int:
     sigmas = cfg.sigma if isinstance(cfg.sigma, list) else [cfg.sigma]
     if not sigmas:
         raise ConfigError("sweep-noise needs a non-empty sigma list")
@@ -206,17 +201,10 @@ def cmd_sweep_noise(cfg: ExperimentConfig, out: Path, threads: int) -> int:
     code = 0
     try:
         for s_idx, sigma in enumerate(sigmas):
-            def job(t, s_idx=s_idx, sigma=sigma):
-                return _run_trial(cfg, float(sigma), t, sigma_idx=s_idx)
-
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    results = list(pool.map(job, range(cfg.trials)))
-            else:
-                results = [job(t) for t in range(cfg.trials)]
-            worst = [
-                max(c.rel_error for c in report.per_component) for _, report in results
-            ]
+            worst = []
+            for t in range(cfg.trials):
+                _, report = _run_trial(cfg, float(sigma), t, sigma_idx=s_idx)
+                worst.append(max(c.rel_error for c in report.per_component))
             rows.append([float(sigma), float(np.mean(worst)), cfg.trials])
     except (MixsenseError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -233,20 +221,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--deterministic", action="store_true",
-                       help="force serial trial execution")
     args = parser.parse_args(argv)
-    threads = 1 if args.deterministic else max(1, args.threads)
     try:
         cfg = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "run":
-            return cmd_run(cfg, out, threads)
+            return cmd_run(cfg, out)
         if args.command == "trace":
-            return cmd_trace(cfg, out, threads)
-        return cmd_sweep_noise(cfg, out, threads)
+            return cmd_trace(cfg, out)
+        return cmd_sweep_noise(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -143,40 +143,3 @@ def subspace_distance(u_hat, u_star) -> float:
         raise InvalidInputError("bases must live in the same ambient space")
     diff = u_hat @ u_hat.T - u_star @ u_star.T
     return float(np.linalg.norm(diff, 2))
-
-
-def snr(mstar, sigma: float) -> float:
-    """Signal-to-noise ratio ||mstar||_F^2 / sigma^2 (inf when sigma == 0)."""
-    mstar = as_matrix(mstar, "mstar")
-    if sigma < 0 or not math.isfinite(sigma):
-        raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
-    if sigma == 0.0:
-        return math.inf
-    return float(np.linalg.norm(mstar) ** 2 / sigma**2)
-
-
-def rip_deficit(designs, x, z) -> float:
-    """Normalized deviation of the empirical bilinear form from <x, z>.
-
-    Returns ``|mean_i <A_i,x><A_i,z> - <x,z>| / (||x||_F ||z||_F)``. This is
-    a diagnostic statistic over the given designs, not an isometry
-    certificate.
-    """
-    x = as_matrix(x, "x")
-    z = as_matrix(z, "z")
-    if x.shape != z.shape:
-        raise InvalidInputError(f"shape mismatch {x.shape} vs {z.shape}")
-    designs = np.asarray(designs, dtype=np.float64)
-    if designs.ndim == 2:
-        designs = designs[None]
-    if designs.ndim != 3 or designs.shape[0] == 0:
-        raise InvalidInputError("designs must be a non-empty list of matrices")
-    if designs.shape[1:] != x.shape:
-        raise InvalidInputError(f"design shape {designs.shape[1:]} mismatches {x.shape}")
-    nx, nz = np.linalg.norm(x), np.linalg.norm(z)
-    if nx == 0.0 or nz == 0.0:
-        raise InvalidInputError("x and z must both be nonzero")
-    flat = designs.reshape(designs.shape[0], -1)
-    px = flat @ x.ravel()
-    pz = flat @ z.ravel()
-    return float(abs(np.mean(px * pz) - float(np.vdot(x, z))) / (nx * nz))

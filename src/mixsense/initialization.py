@@ -100,19 +100,35 @@ class InitializationResult:
 def initialize_all(
     dataset: Dataset,
     sub: SubspaceEstimate,
-    ranks: Sequence[int],
+    ranks: Optional[Sequence[int]],
     seed,
     restarts: Optional[int] = None,
     iters: int = 100,
+    k_components: Optional[int] = None,
+    gap_floor: float = 1e-12,
 ) -> InitializationResult:
     """Compress, solve the mixed regression, and lift every component.
 
-    Components come back in the extraction order of the tensor method;
-    alignment to any ground truth is the caller's concern.
+    When `ranks` is None, `k_components` components are extracted and each
+    rank is estimated from its compressed solution by
+    :func:`estimate_component_ranks`. Components come back in the
+    extraction order of the tensor method; alignment to any ground truth is
+    the caller's concern.
     """
+    if ranks is not None:
+        if k_components not in (None, len(ranks)):
+            raise InvalidInputError(f"{len(ranks)} ranks given for k_components={k_components}")
+        k_components = len(ranks)
+    elif k_components is None:
+        raise InvalidInputError("need ranks or k_components")
     samples = compress_samples(dataset, sub)
-    mlr = solve_mlr(samples, K=len(ranks), seed=seed, restarts=restarts, iters=iters)
+    mlr = solve_mlr(samples, K=k_components, seed=seed, restarts=restarts, iters=iters)
+    if ranks is None:
+        s_hats = [core.unvec(b, sub.r_joint) for b in mlr.betas]
+        ranks = estimate_component_ranks(s_hats, gap_floor)
+        if any(r == 0 for r in ranks):
+            raise InvalidInputError(f"degenerate component spectrum, ranks {ranks}")
     factors = [
-        lift_and_factor(mlr.betas[k], sub, int(ranks[k])) for k in range(len(ranks))
+        lift_and_factor(mlr.betas[k], sub, int(ranks[k])) for k in range(k_components)
     ]
     return InitializationResult(factors=factors, mlr=mlr)

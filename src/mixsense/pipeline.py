@@ -1,11 +1,10 @@
 """Full three-stage recovery: subspace estimation, mixed-regression
 initialization, then one truncated-gradient refinement per component."""
 
-import itertools
+import contextlib
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -13,13 +12,7 @@ import scipy.optimize
 
 from . import core, spectral
 from .errors import InvalidInputError, MixsenseError, PipelineStageError
-from .initialization import (
-    InitializationResult,
-    compress_samples,
-    estimate_component_ranks,
-    lift_and_factor,
-)
-from .mlr_tensor import solve_mlr
+from .initialization import initialize_all
 from .scaledtgd import TgdConfig, TgdTrace, run_scaledtgd
 from .synth import Dataset, GroundTruth
 
@@ -49,7 +42,6 @@ class PipelineConfig:
     tensor_iters: int = 100
     rank_max: Optional[int] = None
     gap_floor: float = 1e-12
-    threads: int = 1
 
     def __post_init__(self):
         if self.k_components < 1:
@@ -63,16 +55,18 @@ class PipelineConfig:
                 )
         elif not 0.0 < self.alpha_scale <= 1.0:
             raise InvalidInputError(f"alpha_scale must lie in (0, 1], got {self.alpha_scale}")
-        if self.t0 < 1:
-            raise InvalidInputError("t0 must be >= 1")
-        if self.threads < 1:
-            raise InvalidInputError("threads must be >= 1")
+        if not isinstance(self.t0, (int, np.integer)) or self.t0 < 1:
+            raise InvalidInputError(f"t0 must be an integer >= 1, got {self.t0!r}")
         for name in ("supplied_ranks", "supplied_proportions"):
             val = getattr(self, name)
             if val is not None:
                 object.__setattr__(self, name, tuple(val))
                 if len(getattr(self, name)) != self.k_components:
                     raise InvalidInputError(f"{name} must have length {self.k_components}")
+        if self.supplied_ranks is not None and not all(
+            isinstance(r, (int, np.integer)) for r in self.supplied_ranks
+        ):
+            raise InvalidInputError(f"supplied_ranks must be integers, got {self.supplied_ranks}")
 
 
 class StepParams(NamedTuple):
@@ -101,10 +95,7 @@ class AlignmentResult(NamedTuple):
 
 def align_components(estimates: Sequence[np.ndarray], truths: Sequence[np.ndarray]) -> AlignmentResult:
     """Assignment of estimates to truths minimizing the summed relative
-    error, exhaustively for K <= 8 and by linear assignment beyond.
-
-    Ties break to the lexicographically smallest permutation.
-    """
+    error, by linear assignment."""
     if len(estimates) != len(truths) or not estimates:
         raise InvalidInputError("need equally many estimates and truths")
     K = len(truths)
@@ -112,16 +103,11 @@ def align_components(estimates: Sequence[np.ndarray], truths: Sequence[np.ndarra
     for k, truth in enumerate(truths):
         for j, est in enumerate(estimates):
             cost[k, j] = core.rel_fro_error(est, truth)
-    if K <= 8:
-        best_perm, best_cost = None, np.inf
-        for perm in itertools.permutations(range(K)):
-            total = float(sum(cost[k, perm[k]] for k in range(K)))
-            if total < best_cost:
-                best_perm, best_cost = perm, total
-        return AlignmentResult(perm=best_perm, total_cost=best_cost)
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    perm = tuple(int(cols[np.argwhere(rows == k)[0, 0]]) for k in range(K))
-    return AlignmentResult(perm=perm, total_cost=float(cost[rows, cols].sum()))
+    # a square cost matrix yields rows == 0..K-1, so cols is the permutation
+    return AlignmentResult(
+        perm=tuple(int(c) for c in cols), total_cost=float(cost[rows, cols].sum())
+    )
 
 
 @dataclass
@@ -183,18 +169,13 @@ def joint_basis(bases: Sequence[np.ndarray]) -> np.ndarray:
     return res.u[:, :rank]
 
 
+@contextlib.contextmanager
 def _stage(tag: str):
-    """Context manager tagging stage failures."""
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, MixsenseError):
-                raise PipelineStageError(tag, str(exc)) from exc
-            return False
-
-    return _Ctx()
+    """Tag a package error raised inside the block with its stage."""
+    try:
+        yield
+    except MixsenseError as exc:
+        raise PipelineStageError(tag, str(exc)) from exc
 
 
 def run_pipeline(
@@ -205,11 +186,16 @@ def run_pipeline(
 ) -> RecoveryReport:
     """Run all three stages and assemble an evaluation report.
 
-    Stage 2 reuses `d_main` unless `cfg.reuse_samples` is False, in which
-    case `d_mlr` must be supplied. Proportions for the per-component step
-    policy come from `cfg.supplied_proportions` first, then from `truth`
-    when given, then from the estimated mixture weights. The permutation in
-    the report is evaluation-only and never feeds back into the solver.
+    Stage 1 (:func:`spectral.subspace_estimate`) estimates the joint rank
+    unless `cfg.supplied_r_joint` is set. Stage 2 (:func:`initialize_all`)
+    estimates each component's rank unless `cfg.supplied_ranks` is set; it
+    reuses `d_main` unless `cfg.reuse_samples` is False or theory mode is
+    on, in which case `d_mlr` must be supplied. Stage 3 refines the
+    components one after another on `d_main`. Proportions for the
+    per-component step policy come from `cfg.supplied_proportions` first,
+    then from `truth` when given, then from the estimated mixture weights.
+    The permutation in the report is evaluation-only and never feeds back
+    into the solver.
     """
     K = cfg.k_components
     use_split = cfg.theory_mode or not cfg.reuse_samples
@@ -217,33 +203,16 @@ def run_pipeline(
         raise InvalidInputError("independent stage-2 samples required when not reusing")
 
     with _stage("stage1"):
-        y_mat = spectral.data_matrix(d_main)
-        spectrum = core.svd(y_mat).s
-        if cfg.supplied_r_joint is not None:
-            r_joint = cfg.supplied_r_joint
-        else:
-            max_rank = cfg.rank_max or max(1, min(d_main.n1, d_main.n2) // 2)
-            r_joint = spectral.estimate_rank(spectrum, max_rank, cfg.gap_floor)
-            if r_joint == 0:
-                raise InvalidInputError("data matrix spectrum is degenerate")
-        sub = spectral.subspace_estimate(y_mat, r_joint)
+        sub = spectral.subspace_estimate(
+            spectral.data_matrix(d_main), cfg.supplied_r_joint, cfg.rank_max, cfg.gap_floor,
+        )
 
     with _stage("stage2"):
-        d_stage2 = d_mlr if use_split else d_main
-        samples = compress_samples(d_stage2, sub)
-        mlr = solve_mlr(
-            samples, K, seed=cfg.seed,
+        init = initialize_all(
+            d_mlr if use_split else d_main, sub, cfg.supplied_ranks, cfg.seed,
             restarts=cfg.tensor_restarts, iters=cfg.tensor_iters,
+            k_components=K, gap_floor=cfg.gap_floor,
         )
-        if cfg.supplied_ranks is not None:
-            ranks = list(cfg.supplied_ranks)
-        else:
-            s_hats = [core.unvec(b, r_joint) for b in mlr.betas]
-            ranks = estimate_component_ranks(s_hats, cfg.gap_floor)
-            if any(r == 0 for r in ranks):
-                raise InvalidInputError(f"degenerate component spectrum, ranks {ranks}")
-        factors = [lift_and_factor(mlr.betas[k], sub, ranks[k]) for k in range(K)]
-        init = InitializationResult(factors=factors, mlr=mlr)
 
     if cfg.supplied_proportions is not None:
         proportions = list(cfg.supplied_proportions)
@@ -270,19 +239,16 @@ def run_pipeline(
             trace_targets[k] = truth_mats[j]
             init_errors[k] = errs[j]
 
-    def _refine(k: int):
-        tgd_cfg = TgdConfig(
-            eta=params[k].eta, alpha=params[k].alpha,
-            t0=cfg.t0, early_stop_tol=cfg.early_stop_tol,
-        )
-        return run_scaledtgd(d_main, init.factors[k], tgd_cfg, truth=trace_targets[k])
-
     with _stage("stage3"):
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                runs = list(pool.map(_refine, range(K)))
-        else:
-            runs = [_refine(k) for k in range(K)]
+        runs = [
+            run_scaledtgd(
+                d_main, init.factors[k],
+                TgdConfig(eta=params[k].eta, alpha=params[k].alpha,
+                          t0=cfg.t0, early_stop_tol=cfg.early_stop_tol),
+                truth=trace_targets[k],
+            )
+            for k in range(K)
+        ]
 
     estimates = [run.final.product() for run in runs]
     if truth_mats is not None:
@@ -309,6 +275,6 @@ def run_pipeline(
             ComponentReport(rel_error=rel_errors[k], init_error=init_errors[k], trace=runs[k].trace)
             for k in range(K)
         ],
-        stage1=Stage1Report(r_used=r_joint, dist_u=dist_u, dist_v=dist_v),
+        stage1=Stage1Report(r_used=sub.r_joint, dist_u=dist_u, dist_v=dist_v),
         weights=init.mlr.weights.copy(),
     )

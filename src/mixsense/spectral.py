@@ -2,7 +2,7 @@
 average, plus the spectral-gap rank rule."""
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,12 +39,26 @@ def data_matrix(dataset: Dataset) -> np.ndarray:
     return (acc / dataset.N).reshape(dataset.n1, dataset.n2)
 
 
-def subspace_estimate(y: np.ndarray, r_joint: int) -> SubspaceEstimate:
-    """Top-`r_joint` left/right singular vectors of the data matrix."""
+def subspace_estimate(
+    y: np.ndarray,
+    r_joint: Optional[int] = None,
+    max_rank: Optional[int] = None,
+    gap_floor: float = 1e-12,
+) -> SubspaceEstimate:
+    """Top-`r_joint` left/right singular vectors of the data matrix.
+
+    When `r_joint` is None it is estimated from the spectrum by
+    :func:`estimate_rank`, scanning up to `max_rank` (default
+    ``max(1, min(n1, n2) // 2)``). The data matrix is decomposed once.
+    """
     y = core.as_matrix(y, "data matrix")
+    res = core.svd(y)
+    if r_joint is None:
+        r_joint = estimate_rank(res.s, max_rank or max(1, min(y.shape) // 2), gap_floor)
+        if r_joint == 0:
+            raise InvalidInputError("data matrix spectrum is degenerate")
     if not 1 <= r_joint <= min(y.shape):
         raise InvalidInputError(f"r_joint={r_joint} out of range for shape {y.shape}")
-    res = core.svd(y)
     return SubspaceEstimate(
         u=res.u[:, :r_joint],
         v=res.v[:, :r_joint],
@@ -63,6 +77,8 @@ def estimate_rank(singular_values: Sequence[float], max_rank: int, gap_floor: fl
     s = np.asarray(singular_values, dtype=np.float64).ravel()
     if s.size == 0:
         raise InvalidInputError("empty spectrum")
+    if not np.isfinite(s).all():
+        raise InvalidInputError("spectrum contains non-finite values")
     if not 1 <= max_rank <= s.size:
         raise InvalidInputError(f"max_rank={max_rank} out of range for {s.size} values")
     if s[0] <= 0.0:

@@ -13,7 +13,6 @@ its designs densely or regenerate them on demand ("streamed" mode) with
 bit-identical results, and generation is parallelizable over samples.
 """
 
-import struct
 from dataclasses import dataclass, field
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -30,8 +29,6 @@ BLOCK = 1024
 # Default "stored" budget: keep designs dense while N * n1 * n2 stays below
 # this entry count (~3.2 GB of float64).
 DEFAULT_STORED_BUDGET = 400_000_000
-
-MAGIC = b"MXS1"
 
 
 @dataclass(frozen=True)
@@ -199,6 +196,13 @@ class Dataset:
             raise InvalidInputError("stored mode requires dense designs")
         self.y = np.asarray(self.y, dtype=np.float64)
         self.hidden_labels = np.asarray(self.hidden_labels, dtype=np.int64)
+        if self.y.ndim != 1 or not np.isfinite(self.y).all():
+            raise InvalidInputError("y must be a finite 1-D array")
+        nn = self.n1 * self.n2
+        if self.designs_flat is not None and self.designs_flat.shape != (self.y.size, nn):
+            raise InvalidInputError(
+                f"designs_flat has shape {self.designs_flat.shape}, expected ({self.y.size}, {nn})"
+            )
         for arr in (self.y, self.hidden_labels, self.designs_flat):
             if arr is not None:
                 arr.setflags(write=False)
@@ -260,8 +264,8 @@ def sample_dataset(
     """
     if N < gt.K:
         raise InvalidInputError(f"need at least K={gt.K} samples, got {N}")
-    if sigma < 0:
-        raise InvalidInputError("sigma must be >= 0")
+    if not np.isfinite(sigma) or sigma < 0:
+        raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
     counts = _largest_remainder_counts(gt.proportions, N)
     labels = np.repeat(np.arange(gt.K), counts)
     label_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
@@ -297,41 +301,4 @@ def sample_dataset(
     return Dataset(
         n1=gt.n1, n2=gt.n2, sigma=float(sigma), seed=int(seed),
         storage_mode=storage_mode, y=y, hidden_labels=labels, designs_flat=designs,
-    )
-
-
-def save_dataset(path, dataset: Dataset) -> None:
-    """Dump a dataset to the MXS1 binary cache format.
-
-    Layout: magic "MXS1"; int64 n1, n2, N; float64 sigma; int64 seed; then
-    float64 little-endian entries: y (N), labels (N, stored as floats), and
-    the dense designs (N * n1 * n2, row-major per sample).
-    """
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<qqq", dataset.n1, dataset.n2, dataset.N))
-        fh.write(struct.pack("<d", dataset.sigma))
-        fh.write(struct.pack("<q", dataset.seed))
-        fh.write(dataset.y.astype("<f8").tobytes())
-        fh.write(dataset.hidden_labels.astype("<f8").tobytes())
-        for _, _, rows in dataset.iter_design_blocks():
-            fh.write(rows.astype("<f8").tobytes())
-
-
-def load_dataset(path) -> Dataset:
-    """Load a dataset written by :func:`save_dataset` (always stored mode)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise InvalidInputError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        n1, n2, N = struct.unpack("<qqq", fh.read(24))
-        (sigma,) = struct.unpack("<d", fh.read(8))
-        (seed,) = struct.unpack("<q", fh.read(8))
-        y = np.frombuffer(fh.read(8 * N), dtype="<f8").astype(np.float64)
-        labels = np.frombuffer(fh.read(8 * N), dtype="<f8").astype(np.int64)
-        designs = np.frombuffer(fh.read(8 * N * n1 * n2), dtype="<f8")
-        designs = designs.astype(np.float64).reshape(N, n1 * n2)
-    return Dataset(
-        n1=int(n1), n2=int(n2), sigma=float(sigma), seed=int(seed),
-        storage_mode="stored", y=y, hidden_labels=labels, designs_flat=designs,
     )

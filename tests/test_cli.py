@@ -4,7 +4,7 @@ import json
 import pytest
 
 from mixsense import cli
-from mixsense.errors import ConfigError
+from mixsense.errors import ConfigError, MixsenseError
 
 
 def tiny_config(**overrides):
@@ -94,21 +94,29 @@ class TestRunCommand:
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
-    def test_threads_match_serial(self, tmp_path):
-        path = write_config(tmp_path, tiny_config())
-        out1, out2 = tmp_path / "serial", tmp_path / "pooled"
-        assert cli.main(["run", "--config", str(path), "--out", str(out1),
-                         "--deterministic"]) == 0
-        assert cli.main(["run", "--config", str(path), "--out", str(out2),
-                         "--threads", "2"]) == 0
-        assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
-
     def test_numerical_failure_exits_3_with_partial_output(self, tmp_path):
         bad = tiny_config(pipeline={"t0": 10, "supplied_r_joint": 99})
         path = write_config(tmp_path, bad)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 3
         assert (out / "summary.csv").exists()  # header flushed before failure
+
+    def test_failure_keeps_finished_trials(self, tmp_path, monkeypatch):
+        real_run_trial = cli._run_trial
+
+        def fail_on_trial_1(cfg, sigma, trial, *args, **kwargs):
+            if trial == 1:
+                raise MixsenseError("injected failure")
+            return real_run_trial(cfg, sigma, trial, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_run_trial", fail_on_trial_1)
+        path = write_config(tmp_path, tiny_config())
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 3
+        rows = read_csv(out / "summary.csv")
+        assert len(rows) == 1 + 1 and rows[1][0] == "0"  # header + trial 0's component
+        report = json.loads((out / "report.json").read_text())
+        assert [t["seed"] for t in report["trials"]] == [0]
 
     def test_sigma_list_rejected_for_run(self, tmp_path):
         path = write_config(tmp_path, tiny_config(sigma=[0.0, 0.1]))

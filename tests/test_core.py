@@ -193,56 +193,6 @@ class TestSubspaceDistance:
             core.subspace_distance(np.array([[2.0], [0.0]]), np.array([[1.0], [0.0]]))
 
 
-class TestSnr:
-    def test_values(self):
-        m = np.array([[2.0, 0.0], [0.0, 0.0]])
-        assert abs(core.snr(m, 1.0) - 4.0) < 1e-14
-        assert abs(core.snr(np.array([[1.0]]), 1e-5) - 1e10) < 1.0
-        assert core.snr(np.zeros((2, 2)), 1.0) == 0.0
-        assert core.snr(m, 0.0) == math.inf
-
-
-class TestRipDeficit:
-    def deficit_oracle(self, designs, x, z):
-        terms = [float(np.vdot(a, x)) * float(np.vdot(a, z)) for a in designs]
-        return abs(sum(terms) / len(terms) - float(np.vdot(x, z))) / (
-            np.linalg.norm(x) * np.linalg.norm(z)
-        )
-
-    def test_single_design_matches_oracle(self, rng):
-        x = rng.standard_normal((3, 3))
-        designs = [x / np.linalg.norm(x)]
-        assert abs(core.rip_deficit(designs, x, x) - self.deficit_oracle(designs, x, x)) < 1e-12
-
-    def test_orthogonal_pair(self):
-        x = np.array([[1.0, 0.0], [0.0, 0.0]])
-        z = np.array([[0.0, 0.0], [0.0, 1.0]])
-        designs = [x / np.linalg.norm(x)]
-        assert core.rip_deficit(designs, x, z) == 0.0
-
-    def test_random_batch_matches_oracle(self, rng):
-        x = rng.standard_normal((2, 3))
-        z = rng.standard_normal((2, 3))
-        designs = [rng.standard_normal((2, 3)) for _ in range(7)]
-        got = core.rip_deficit(designs, x, z)
-        assert abs(got - self.deficit_oracle(designs, x, z)) < 1e-12
-
-    def test_gaussian_concentration(self):
-        # 5000 designs, rank-1 x = z, n = 8: deficit stays small
-        hits = 0
-        for seed in range(20):
-            g = np.random.default_rng(seed)
-            u, v = g.standard_normal(8), g.standard_normal(8)
-            x = np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
-            designs = g.standard_normal((5000, 8, 8))
-            hits += core.rip_deficit(designs, x, x) <= 0.1
-        assert hits >= 20 * 0.99
-
-    def test_empty(self):
-        with pytest.raises(InvalidInputError):
-            core.rip_deficit(np.zeros((0, 2, 2)), np.eye(2), np.eye(2))
-
-
 class TestVecConvention:
     def test_column_major(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -157,3 +157,15 @@ class TestInitializeAll:
             uu, ss, vv = np.linalg.svd(lifted)
             best1 = np.outer(uu[:, 0] * ss[0], vv[0])
             assert np.linalg.norm(res.factors[k].product() - best1) <= 1e-10
+
+    def test_estimated_ranks(self):
+        gt = synth.make_ground_truth(6, 6, [1, 1], [0.5, 0.5], [[1.0], [1.0]], seed=3)
+        ds = synth.sample_dataset(gt, N=20_000, sigma=0.0, seed=3)
+        sub = spectral.subspace_estimate(spectral.data_matrix(ds), 2)
+        res = ini.initialize_all(ds, sub, ranks=None, seed=0, k_components=2)
+        expected = ini.estimate_component_ranks([core.unvec(b, 2) for b in res.mlr.betas])
+        assert [f.rank for f in res.factors] == expected
+        with pytest.raises(InvalidInputError):
+            ini.initialize_all(ds, sub, ranks=None, seed=0)
+        with pytest.raises(InvalidInputError):
+            ini.initialize_all(ds, sub, ranks=[1, 1], seed=0, k_components=3)

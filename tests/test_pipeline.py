@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mixsense import core, pipeline as pl, synth
+from mixsense import core, initialization as ini, pipeline as pl, synth
 from mixsense.errors import InvalidInputError, MixsenseError, PipelineStageError
 
 
@@ -103,6 +103,12 @@ class TestPipelineConfig:
         with pytest.raises(InvalidInputError):
             pl.PipelineConfig(k_components=2, supplied_ranks=(1,))
 
+    def test_fractional_t0_and_ranks(self):
+        with pytest.raises(InvalidInputError):
+            pl.PipelineConfig(k_components=1, t0=2.5)
+        with pytest.raises(InvalidInputError):
+            pl.PipelineConfig(k_components=1, supplied_ranks=(1.5,))
+
 
 def desk_problem(seed, n=16, K=1, r=2, mult=50, sigma=0.0):
     gt = synth.make_ground_truth(n, n, [r] * K, [1.0 / K] * K, [[1.0] * r] * K, seed)
@@ -128,14 +134,26 @@ class TestRunPipeline:
         for a, b in zip(rep1.estimates, rep2.estimates):
             assert (a == b).all()
 
-    def test_component_threads_join_deterministically(self):
+    def test_one_data_matrix_svd_and_k_lifts_per_solve(self, monkeypatch):
         gt, ds = desk_problem(seed=2, K=2, n=12, mult=60)
-        base = pl.PipelineConfig(k_components=2, supplied_ranks=(2, 2), t0=30, seed=2)
-        threaded = pl.PipelineConfig(k_components=2, supplied_ranks=(2, 2), t0=30, seed=2,
-                                     threads=2)
-        rep1 = pl.run_pipeline(ds, None, base, truth=gt)
-        rep2 = pl.run_pipeline(ds, None, threaded, truth=gt)
-        assert rep1.to_json() == rep2.to_json()
+        svd_shapes, lifts = [], []
+        real_svd, real_lift = core.svd, ini.lift_and_factor
+
+        def counting_svd(m, *args, **kwargs):
+            svd_shapes.append(np.shape(m))
+            return real_svd(m, *args, **kwargs)
+
+        def counting_lift(*args, **kwargs):
+            lifts.append(1)
+            return real_lift(*args, **kwargs)
+
+        monkeypatch.setattr(core, "svd", counting_svd)
+        monkeypatch.setattr(ini, "lift_and_factor", counting_lift)
+        cfg = pl.PipelineConfig(k_components=2, supplied_ranks=(2, 2), t0=5, seed=2)
+        rep = pl.run_pipeline(ds, None, cfg, truth=None)
+        assert rep.stage1.r_used == 4  # estimated by stage 1 itself
+        assert svd_shapes.count((12, 12)) == 1
+        assert len(lifts) == 2
 
     def test_storage_modes_agree_end_to_end(self):
         gt = synth.make_ground_truth(10, 10, [1], [1.0], [[1.0]], seed=8)

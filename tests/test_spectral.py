@@ -135,6 +135,12 @@ class TestEstimateRank:
         with pytest.raises(InvalidInputError):
             spectral.estimate_rank([1.0], max_rank=2)
 
+    def test_non_finite_spectrum(self):
+        with pytest.raises(InvalidInputError):
+            spectral.estimate_rank([np.nan, 1.0, 0.5], max_rank=2)
+        with pytest.raises(InvalidInputError):
+            spectral.estimate_rank([np.inf, 1.0], max_rank=1)
+
     def test_desk_scale_recovers_total_rank(self):
         for seed in range(3):
             gt = synth.make_ground_truth(40, 40, [2] * 3, [1 / 3] * 3, [[1.0] * 2] * 3, seed)

@@ -213,6 +213,27 @@ class TestSampleDataset:
         with pytest.raises(InvalidInputError):
             synth.sample_dataset(gt, N=2, sigma=0.0, seed=0)
 
+    def test_non_finite_sigma(self):
+        gt = equal_mixture(4, K=1, r=1)
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(InvalidInputError):
+                synth.sample_dataset(gt, N=5, sigma=sigma, seed=0)
+
+    def test_dataset_array_checks(self):
+        def make(y, designs_flat):
+            return synth.Dataset(
+                n1=2, n2=3, sigma=0.0, seed=0, storage_mode="stored", y=y,
+                hidden_labels=np.zeros(len(y), dtype=np.int64), designs_flat=designs_flat,
+            )
+
+        make(np.zeros(4), np.zeros((4, 6)))
+        with pytest.raises(InvalidInputError):
+            make(np.zeros(3), np.zeros((4, 6)))  # y shorter than the designs
+        with pytest.raises(InvalidInputError):
+            make(np.zeros(4), np.zeros((4, 5)))  # rows are not n1 * n2 wide
+        with pytest.raises(InvalidInputError):
+            make(np.array([0.0, np.nan, 0.0, 0.0]), np.zeros((4, 6)))
+
     def test_deterministic(self):
         gt = equal_mixture(5, K=2, r=1, seed=1)
         a = synth.sample_dataset(gt, N=50, sigma=0.1, seed=8)
@@ -224,32 +245,3 @@ class TestSampleDataset:
         ds = synth.sample_dataset(gt, N=5, sigma=0.0, seed=0)
         with pytest.raises(ValueError):
             ds.y[0] = 7.0
-
-
-class TestDumpFormat:
-    def test_round_trip(self, tmp_path):
-        gt = equal_mixture(5, K=2, r=1, seed=6)
-        ds = synth.sample_dataset(gt, N=40, sigma=0.2, seed=17)
-        path = tmp_path / "cache.mxs"
-        synth.save_dataset(path, ds)
-        back = synth.load_dataset(path)
-        assert (back.n1, back.n2, back.N) == (ds.n1, ds.n2, ds.N)
-        assert back.sigma == ds.sigma and back.seed == ds.seed
-        assert (back.y == ds.y).all()
-        assert (back.hidden_labels == ds.hidden_labels).all()
-        assert (back.designs_flat == ds.designs_flat).all()
-
-    def test_streamed_dump_loads_stored(self, tmp_path):
-        gt = equal_mixture(4, K=1, r=1, seed=6)
-        ds = synth.sample_dataset(gt, N=12, sigma=0.0, seed=3, storage_mode="streamed")
-        path = tmp_path / "cache.mxs"
-        synth.save_dataset(path, ds)
-        back = synth.load_dataset(path)
-        assert back.storage_mode == "stored"
-        assert (back.designs_flat == ds.design_rows(np.arange(12))).all()
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.mxs"
-        path.write_bytes(b"NOPE" + b"\0" * 64)
-        with pytest.raises(InvalidInputError):
-            synth.load_dataset(path)
