@@ -76,7 +76,7 @@ def lift_and_factor(beta_hat: np.ndarray, sub: SubspaceEstimate, r_k: int) -> Fa
     return FactorPair(l=(sub.u @ res.u[:, :r_k]) * root, r=(sub.v @ res.v[:, :r_k]) * root)
 
 
-def estimate_component_ranks(s_hats: Sequence[np.ndarray], gap_floor: float = 1e-12) -> List[int]:
+def estimate_component_ranks(s_hats: Sequence[np.ndarray]) -> List[int]:
     """Spectral-gap rank estimate for each compressed component matrix.
 
     A rank of 0 marks a degenerate (all-zero) spectrum.
@@ -87,7 +87,7 @@ def estimate_component_ranks(s_hats: Sequence[np.ndarray], gap_floor: float = 1e
         if s_hat.shape[0] != s_hat.shape[1]:
             raise InvalidInputError(f"expected square input, got {s_hat.shape}")
         s = np.linalg.svd(s_hat, compute_uv=False)
-        ranks.append(spectral.estimate_rank(s, max_rank=s.size, gap_floor=gap_floor))
+        ranks.append(spectral.estimate_rank(s, max_rank=s.size))
     return ranks
 
 
@@ -102,10 +102,7 @@ def initialize_all(
     sub: SubspaceEstimate,
     ranks: Optional[Sequence[int]],
     seed,
-    restarts: Optional[int] = None,
-    iters: int = 100,
     k_components: Optional[int] = None,
-    gap_floor: float = 1e-12,
 ) -> InitializationResult:
     """Compress, solve the mixed regression, and lift every component.
 
@@ -122,10 +119,10 @@ def initialize_all(
     elif k_components is None:
         raise InvalidInputError("need ranks or k_components")
     samples = compress_samples(dataset, sub)
-    mlr = solve_mlr(samples, K=k_components, seed=seed, restarts=restarts, iters=iters)
+    mlr = solve_mlr(samples, K=k_components, seed=seed)
     if ranks is None:
         s_hats = [core.unvec(b, sub.r_joint) for b in mlr.betas]
-        ranks = estimate_component_ranks(s_hats, gap_floor)
+        ranks = estimate_component_ranks(s_hats)
         if any(r == 0 for r in ranks):
             raise InvalidInputError(f"degenerate component spectrum, ranks {ranks}")
     factors = [

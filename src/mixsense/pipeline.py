@@ -38,14 +38,12 @@ class PipelineConfig:
     reuse_samples: bool = True
     theory_mode: bool = False
     seed: int = 0
-    tensor_restarts: Optional[int] = None
-    tensor_iters: int = 100
-    rank_max: Optional[int] = None
-    gap_floor: float = 1e-12
 
     def __post_init__(self):
-        if self.k_components < 1:
-            raise InvalidInputError("k_components must be >= 1")
+        if not isinstance(self.k_components, (int, np.integer)) or self.k_components < 1:
+            raise InvalidInputError(
+                f"k_components must be an integer >= 1, got {self.k_components!r}"
+            )
         if not 0.0 < self.eta_scale <= 1.3:
             raise InvalidInputError(f"eta_scale must lie in (0, 1.3], got {self.eta_scale}")
         if self.theory_mode:
@@ -203,15 +201,11 @@ def run_pipeline(
         raise InvalidInputError("independent stage-2 samples required when not reusing")
 
     with _stage("stage1"):
-        sub = spectral.subspace_estimate(
-            spectral.data_matrix(d_main), cfg.supplied_r_joint, cfg.rank_max, cfg.gap_floor,
-        )
+        sub = spectral.subspace_estimate(spectral.data_matrix(d_main), cfg.supplied_r_joint)
 
     with _stage("stage2"):
         init = initialize_all(
-            d_mlr if use_split else d_main, sub, cfg.supplied_ranks, cfg.seed,
-            restarts=cfg.tensor_restarts, iters=cfg.tensor_iters,
-            k_components=K, gap_floor=cfg.gap_floor,
+            d_mlr if use_split else d_main, sub, cfg.supplied_ranks, cfg.seed, k_components=K,
         )
 
     if cfg.supplied_proportions is not None:

@@ -29,8 +29,8 @@ class TgdConfig:
             raise InvalidInputError(f"eta must be > 0, got {self.eta}")
         if not 0.0 < self.alpha <= 1.0:
             raise InvalidInputError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.t0 < 0:
-            raise InvalidInputError(f"t0 must be >= 0, got {self.t0}")
+        if not isinstance(self.t0, (int, np.integer)) or self.t0 < 0:
+            raise InvalidInputError(f"t0 must be an integer >= 0, got {self.t0!r}")
         if self.early_stop_tol < 0:
             raise InvalidInputError("early_stop_tol must be >= 0")
 

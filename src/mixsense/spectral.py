@@ -10,6 +10,10 @@ from . import core
 from .errors import InvalidInputError
 from .synth import Dataset
 
+# Floor of the rank rule's denominator, relative to the top singular value,
+# so that exact trailing zeros do not divide by zero.
+GAP_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class SubspaceEstimate:
@@ -39,22 +43,17 @@ def data_matrix(dataset: Dataset) -> np.ndarray:
     return (acc / dataset.N).reshape(dataset.n1, dataset.n2)
 
 
-def subspace_estimate(
-    y: np.ndarray,
-    r_joint: Optional[int] = None,
-    max_rank: Optional[int] = None,
-    gap_floor: float = 1e-12,
-) -> SubspaceEstimate:
+def subspace_estimate(y: np.ndarray, r_joint: Optional[int] = None) -> SubspaceEstimate:
     """Top-`r_joint` left/right singular vectors of the data matrix.
 
     When `r_joint` is None it is estimated from the spectrum by
-    :func:`estimate_rank`, scanning up to `max_rank` (default
-    ``max(1, min(n1, n2) // 2)``). The data matrix is decomposed once.
+    :func:`estimate_rank`, scanning up to ``max(1, min(n1, n2) // 2)``. The
+    data matrix is decomposed once.
     """
     y = core.as_matrix(y, "data matrix")
     res = core.svd(y)
     if r_joint is None:
-        r_joint = estimate_rank(res.s, max_rank or max(1, min(y.shape) // 2), gap_floor)
+        r_joint = estimate_rank(res.s, max(1, min(y.shape) // 2))
         if r_joint == 0:
             raise InvalidInputError("data matrix spectrum is degenerate")
     if not 1 <= r_joint <= min(y.shape):
@@ -67,10 +66,10 @@ def subspace_estimate(
     )
 
 
-def estimate_rank(singular_values: Sequence[float], max_rank: int, gap_floor: float = 1e-12) -> int:
+def estimate_rank(singular_values: Sequence[float], max_rank: int) -> int:
     """Rank estimate by the largest consecutive singular-value ratio.
 
-    Scans ``s_i / max(s_{i+1}, gap_floor * s_1)`` for i up to `max_rank`
+    Scans ``s_i / max(s_{i+1}, GAP_FLOOR * s_1)`` for i up to `max_rank`
     (missing trailing values count as 0) and returns the smallest argmax.
     Returns 0 when the spectrum is entirely degenerate.
     """
@@ -86,7 +85,7 @@ def estimate_rank(singular_values: Sequence[float], max_rank: int, gap_floor: fl
     best_i, best_ratio = 0, -np.inf
     for i in range(1, max_rank + 1):
         nxt = s[i] if i < s.size else 0.0
-        ratio = s[i - 1] / max(nxt, gap_floor * s[0])
+        ratio = s[i - 1] / max(nxt, GAP_FLOOR * s[0])
         if ratio > best_ratio:
             best_i, best_ratio = i, ratio
     return best_i

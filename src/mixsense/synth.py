@@ -8,13 +8,13 @@ Randomness layout. Every dataset is derived from one integer master seed:
   yields the ``n1*n2`` design entries (row-major) and then one standard
   normal used for the measurement noise.
 
-Because each sample owns an independent stream, a dataset can either store
-its designs densely or regenerate them on demand ("streamed" mode) with
-bit-identical results, and generation is parallelizable over samples.
+Because each sample owns an independent stream, a dataset stores the design
+rows of a prefix of its samples, as many as its budget allows, and
+regenerates the rest on demand with bit-identical results.
 """
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -23,11 +23,11 @@ from .errors import InvalidInputError
 
 # Fixed block length for all chunked passes over a dataset. Consumers must
 # iterate via Dataset.iter_design_blocks so that accumulation order (and
-# hence floating-point rounding) is identical in stored and streamed modes.
+# hence floating-point rounding) does not depend on how many rows are stored.
 BLOCK = 1024
 
-# Default "stored" budget: keep designs dense while N * n1 * n2 stays below
-# this entry count (~3.2 GB of float64).
+# Default budget for stored design rows, in entries (~3.2 GB of float64);
+# a dataset stores min(N, budget // (n1 * n2)) rows.
 DEFAULT_STORED_BUDGET = 400_000_000
 
 
@@ -75,10 +75,6 @@ class GroundTruth:
         """Ratio of the largest to smallest component Frobenius norm."""
         norms = [float(np.linalg.norm(c.sigma_star)) for c in self.components]
         return max(norms) / min(norms)
-
-
-def _rng_for_sample(seed: int, i: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, i)))
 
 
 def random_orthonormal(n: int, r: int, seed) -> np.ndarray:
@@ -175,76 +171,82 @@ class Dataset:
     """N mixed linear measurements of a planted mixture.
 
     `hidden_labels` records which component generated each sample; it exists
-    for evaluation only and is never read by the solver stages. In streamed
-    mode `designs_flat` is None and design rows are regenerated on demand
-    from `seed`.
+    for evaluation only and is never read by the solver stages.
+    `designs_flat` holds the design rows of samples ``[0, stored_rows)``;
+    rows from `stored_rows` on are regenerated on demand from `seed`, so 0
+    stored rows is a fully streamed dataset and N a fully stored one.
     """
 
     n1: int
     n2: int
     sigma: float
     seed: int
-    storage_mode: str
     y: np.ndarray
     hidden_labels: np.ndarray
-    designs_flat: Optional[np.ndarray] = field(default=None, repr=False)
+    designs_flat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.storage_mode not in ("stored", "streamed"):
-            raise InvalidInputError(f"unknown storage mode {self.storage_mode!r}")
-        if self.storage_mode == "stored" and self.designs_flat is None:
-            raise InvalidInputError("stored mode requires dense designs")
         self.y = np.asarray(self.y, dtype=np.float64)
         self.hidden_labels = np.asarray(self.hidden_labels, dtype=np.int64)
+        self.designs_flat = np.asarray(self.designs_flat, dtype=np.float64)
         if self.y.ndim != 1 or not np.isfinite(self.y).all():
             raise InvalidInputError("y must be a finite 1-D array")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
         nn = self.n1 * self.n2
-        if self.designs_flat is not None and self.designs_flat.shape != (self.y.size, nn):
+        shape = self.designs_flat.shape
+        if len(shape) != 2 or shape[0] > self.y.size or shape[1] != nn:
             raise InvalidInputError(
-                f"designs_flat has shape {self.designs_flat.shape}, expected ({self.y.size}, {nn})"
+                f"designs_flat has shape {shape}, expected (<= {self.y.size}, {nn})"
             )
         for arr in (self.y, self.hidden_labels, self.designs_flat):
-            if arr is not None:
-                arr.setflags(write=False)
+            arr.setflags(write=False)
 
     @property
     def N(self) -> int:
         return int(self.y.size)
 
     @property
-    def entry_count(self) -> int:
-        return self.N * self.n1 * self.n2
+    def stored_rows(self) -> int:
+        return int(self.designs_flat.shape[0])
 
-    def _regen_rows(self, indices: np.ndarray) -> np.ndarray:
-        nn = self.n1 * self.n2
-        out = np.empty((len(indices), nn))
-        for j, i in enumerate(indices):
-            out[j] = _rng_for_sample(self.seed, int(i)).standard_normal(nn)
+    def _read(self, key, end: int) -> np.ndarray:
+        """Design rows selected by `key`, a slice or an index array whose
+        indices all lie below `end`. Rows of the stored prefix come from
+        `designs_flat` (a view for a slice, one gather for an array); the
+        rest are regenerated from `seed`."""
+        if end <= self.stored_rows:
+            return self.designs_flat[key]
+        idx = np.arange(self.N)[key]
+        stored = idx < self.stored_rows
+        out = np.empty((idx.size, self.n1 * self.n2))
+        out[stored] = self.designs_flat[idx[stored]]
+        for j in np.flatnonzero(~stored):
+            _draw_sample(self.seed, idx[j], out[j])
         return out
-
-    def design(self, i: int) -> np.ndarray:
-        """Dense (n1, n2) design of sample i (a fresh array in either mode)."""
-        if not 0 <= i < self.N:
-            raise InvalidInputError(f"sample index {i} out of range")
-        if self.designs_flat is not None:
-            return self.designs_flat[i].reshape(self.n1, self.n2).copy()
-        return self._regen_rows(np.array([i])).reshape(self.n1, self.n2)
 
     def design_rows(self, indices) -> np.ndarray:
         """Row-major vectorized designs for the given sample indices."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if self.designs_flat is not None:
-            return self.designs_flat[indices]
-        return self._regen_rows(indices)
+        idx = np.asarray(indices, dtype=np.int64)
+        first, end = (idx.min(), idx.max() + 1) if idx.size else (0, 0)
+        if idx.ndim != 1 or first < 0 or end > self.N:
+            raise InvalidInputError(f"sample indices must be a 1-D array in [0, {self.N})")
+        return self._read(idx, end)
 
     def iter_design_blocks(self) -> Iterator[Tuple[int, int, np.ndarray]]:
         """Yield (lo, hi, rows) over fixed-size blocks in sample order."""
         for lo in range(0, self.N, BLOCK):
             hi = min(lo + BLOCK, self.N)
-            if self.designs_flat is not None:
-                yield lo, hi, self.designs_flat[lo:hi]
-            else:
-                yield lo, hi, self._regen_rows(np.arange(lo, hi))
+            yield lo, hi, self._read(slice(lo, hi), hi)
+
+
+def _draw_sample(seed: int, i: int, row: np.ndarray) -> float:
+    """Fill `row` with the design entries of sample i and return its noise
+    draw. Sample i's stream ``SeedSequence(seed, spawn_key=(1, i))`` yields
+    the design entries first and the noise draw after them."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, int(i))))
+    rng.standard_normal(out=row)
+    return rng.standard_normal()
 
 
 def sample_dataset(
@@ -252,7 +254,6 @@ def sample_dataset(
     N: int,
     sigma: float,
     seed: int,
-    storage_mode: Optional[str] = None,
     stored_budget: int = DEFAULT_STORED_BUDGET,
 ) -> Dataset:
     """Draw N measurements from the planted mixture.
@@ -260,10 +261,16 @@ def sample_dataset(
     Label counts follow the exact largest-remainder partition of the
     proportions (each count is floor or ceil of p_k * N) and are then
     globally shuffled. Designs have i.i.d. standard normal entries and
-    ``y_i = <A_i, M_label(i)> + sigma * z_i``.
+    ``y_i = <A_i, M_label(i)> + sigma * z_i``. The first
+    ``min(N, stored_budget // (n1 * n2))`` design rows are stored; the rest
+    are regenerated whenever they are read.
     """
-    if N < gt.K:
-        raise InvalidInputError(f"need at least K={gt.K} samples, got {N}")
+    if not isinstance(N, (int, np.integer)) or N < gt.K:
+        raise InvalidInputError(f"need an integer N of at least K={gt.K} samples, got {N!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
+    if not isinstance(stored_budget, (int, np.integer)) or stored_budget < 0:
+        raise InvalidInputError(f"stored_budget must be an integer >= 0, got {stored_budget!r}")
     if not np.isfinite(sigma) or sigma < 0:
         raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
     counts = _largest_remainder_counts(gt.proportions, N)
@@ -271,21 +278,14 @@ def sample_dataset(
     label_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     labels = label_rng.permutation(labels)
 
-    if storage_mode is None:
-        storage_mode = "stored" if N * gt.n1 * gt.n2 <= stored_budget else "streamed"
-
     nn = gt.n1 * gt.n2
     vec_ms = [gt.matrix(k).ravel() for k in range(gt.K)]
     y = np.empty(N)
-    designs = np.empty((N, nn)) if storage_mode == "stored" else None
+    designs = np.empty((min(N, stored_budget // nn), nn))
     for lo in range(0, N, BLOCK):
         hi = min(lo + BLOCK, N)
         block = np.empty((hi - lo, nn))
-        noise = np.empty(hi - lo)
-        for j, i in enumerate(range(lo, hi)):
-            rng = _rng_for_sample(seed, i)
-            block[j] = rng.standard_normal(nn)
-            noise[j] = rng.standard_normal()
+        noise = np.array([_draw_sample(seed, i, block[i - lo]) for i in range(lo, hi)])
         yb = np.empty(hi - lo)
         lab = labels[lo:hi]
         for k in range(gt.K):
@@ -296,9 +296,9 @@ def sample_dataset(
                 vals = block @ vec_ms[k]
                 yb[mask] = vals[mask]
         y[lo:hi] = yb + sigma * noise
-        if designs is not None:
-            designs[lo:hi] = block
+        kept = designs[lo:hi]
+        kept[:] = block[: len(kept)]
     return Dataset(
         n1=gt.n1, n2=gt.n2, sigma=float(sigma), seed=int(seed),
-        storage_mode=storage_mode, y=y, hidden_labels=labels, designs_flat=designs,
+        y=y, hidden_labels=labels, designs_flat=designs,
     )

@@ -195,7 +195,7 @@ def check_reparameterization_invariance():
     designs = g.standard_normal((400, n1 * n2))
     m_true = g.standard_normal((n1, n2))
     ds = synth.Dataset(
-        n1=n1, n2=n2, sigma=0.0, seed=0, storage_mode="stored",
+        n1=n1, n2=n2, sigma=0.0, seed=0,
         y=designs @ m_true.ravel(),
         hidden_labels=np.zeros(400, dtype=np.int64), designs_flat=designs,
     )
@@ -218,7 +218,7 @@ def check_fixed_points_bit_exact():
     designs = g.standard_normal((400, 20))
     y = designs @ pair.product().ravel()
     ds = synth.Dataset(
-        n1=4, n2=5, sigma=0.0, seed=0, storage_mode="stored", y=y,
+        n1=4, n2=5, sigma=0.0, seed=0, y=y,
         hidden_labels=np.zeros(400, dtype=np.int64), designs_flat=designs,
     )
     out = tgd.scaledtgd_step(ds, pair, eta=1.3, alpha=0.8)
@@ -227,7 +227,7 @@ def check_fixed_points_bit_exact():
     other = g.standard_normal((4, 5))
     y_mixed = np.concatenate([y[:200], designs[200:] @ other.ravel()])
     ds_mixed = synth.Dataset(
-        n1=4, n2=5, sigma=0.0, seed=0, storage_mode="stored", y=y_mixed,
+        n1=4, n2=5, sigma=0.0, seed=0, y=y_mixed,
         hidden_labels=np.repeat([0, 1], 200), designs_flat=designs,
     )
     out = tgd.scaledtgd_step(ds_mixed, pair, eta=1.3, alpha=0.4)
@@ -277,11 +277,13 @@ def check_vec_round_trip():
 
 def check_streamed_stored_equality():
     gt = synth.make_ground_truth(6, 6, [2, 2], [0.5, 0.5], [[1.0, 1.0]] * 2, seed=23)
-    stored = synth.sample_dataset(gt, 2100, 0.25, seed=29, storage_mode="stored")
-    streamed = synth.sample_dataset(gt, 2100, 0.25, seed=29, storage_mode="streamed")
-    assert (stored.y == streamed.y).all()
+    stored = synth.sample_dataset(gt, 2100, 0.25, seed=29, stored_budget=2100 * 36)
     idx = np.arange(2100)
-    assert (stored.design_rows(idx) == streamed.design_rows(idx)).all()
+    # none stored, and a prefix of 1500 rows that ends inside the second block
+    for budget in (0, 1500 * 36):
+        other = synth.sample_dataset(gt, 2100, 0.25, seed=29, stored_budget=budget)
+        assert (stored.y == other.y).all()
+        assert (stored.design_rows(idx) == other.design_rows(idx)).all()
 
 
 def test_property_suite():
@@ -308,7 +310,7 @@ def spectral_init_run(seed, kappa, eta=0.7, n=30, r=2, mult=50, t0=300):
     m = u @ np.diag([float(kappa), 1.0]) @ v.T
     designs = g.standard_normal((mult * n * r, n * n))
     ds = synth.Dataset(
-        n1=n, n2=n, sigma=0.0, seed=seed, storage_mode="stored",
+        n1=n, n2=n, sigma=0.0, seed=seed,
         y=designs @ m.ravel(),
         hidden_labels=np.zeros(mult * n * r, dtype=np.int64), designs_flat=designs,
     )

@@ -10,7 +10,7 @@ def manual_dataset(designs, y):
     designs = np.asarray(designs, dtype=float)
     n, n1, n2 = designs.shape
     return synth.Dataset(
-        n1=n1, n2=n2, sigma=0.0, seed=0, storage_mode="stored",
+        n1=n1, n2=n2, sigma=0.0, seed=0,
         y=np.asarray(y, dtype=float),
         hidden_labels=np.zeros(n, dtype=np.int64),
         designs_flat=designs.reshape(n, n1 * n2).copy(),

@@ -108,6 +108,8 @@ class TestPipelineConfig:
             pl.PipelineConfig(k_components=1, t0=2.5)
         with pytest.raises(InvalidInputError):
             pl.PipelineConfig(k_components=1, supplied_ranks=(1.5,))
+        with pytest.raises(InvalidInputError):
+            pl.PipelineConfig(k_components=1.0)
 
 
 def desk_problem(seed, n=16, K=1, r=2, mult=50, sigma=0.0):
@@ -155,15 +157,18 @@ class TestRunPipeline:
         assert svd_shapes.count((12, 12)) == 1
         assert len(lifts) == 2
 
-    def test_storage_modes_agree_end_to_end(self):
+    def test_stored_prefixes_agree_end_to_end(self):
         gt = synth.make_ground_truth(10, 10, [1], [1.0], [[1.0]], seed=8)
         cfg = pl.PipelineConfig(k_components=1, supplied_ranks=(1,), t0=25, seed=8)
         reports = []
-        for mode in ("stored", "streamed"):
-            ds = synth.sample_dataset(gt, 1_000, 0.05, seed=8, storage_mode=mode)
+        # all rows stored, none stored, and a prefix that ends inside a block
+        for stored_rows in (1_000, 0, 300):
+            ds = synth.sample_dataset(gt, 1_000, 0.05, seed=8, stored_budget=stored_rows * 100)
+            assert ds.stored_rows == stored_rows
             reports.append(pl.run_pipeline(ds, None, cfg, truth=gt))
-        assert reports[0].to_json() == reports[1].to_json()
-        assert (reports[0].estimates[0] == reports[1].estimates[0]).all()
+        for rep in reports[1:]:
+            assert rep.to_json() == reports[0].to_json()
+            assert (rep.estimates[0] == reports[0].estimates[0]).all()
 
     def test_split_mode_requires_second_dataset(self):
         gt, ds = desk_problem(seed=3)

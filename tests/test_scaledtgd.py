@@ -11,7 +11,7 @@ from mixsense.initialization import FactorPair
 
 def manual_dataset(designs_flat, y, n1, n2):
     return synth.Dataset(
-        n1=n1, n2=n2, sigma=0.0, seed=0, storage_mode="stored",
+        n1=n1, n2=n2, sigma=0.0, seed=0,
         y=np.asarray(y, dtype=float),
         hidden_labels=np.zeros(len(y), dtype=np.int64),
         designs_flat=np.asarray(designs_flat, dtype=float).copy(),
@@ -54,10 +54,14 @@ class TestResiduals:
 
     def test_streamed_mode(self):
         gt = synth.make_ground_truth(4, 4, [1], [1.0], [[1.0]], seed=0)
-        stored = synth.sample_dataset(gt, 600, 0.1, seed=2, storage_mode="stored")
-        streamed = synth.sample_dataset(gt, 600, 0.1, seed=2, storage_mode="streamed")
+        stored = synth.sample_dataset(gt, 600, 0.1, seed=2, stored_budget=600 * 16)
+        streamed = synth.sample_dataset(gt, 600, 0.1, seed=2, stored_budget=0)
+        hybrid = synth.sample_dataset(gt, 600, 0.1, seed=2, stored_budget=300 * 16)
+        assert hybrid.stored_rows == 300  # the prefix ends inside the only block
         pair = FactorPair(l=np.ones((4, 1)), r=np.ones((4, 1)))
-        assert (tgd.residuals(stored, pair) == tgd.residuals(streamed, pair)).all()
+        expected = tgd.residuals(stored, pair)
+        assert (tgd.residuals(streamed, pair) == expected).all()
+        assert (tgd.residuals(hybrid, pair) == expected).all()
 
 
 class TestTruncationSet:
@@ -225,3 +229,5 @@ class TestRun:
             tgd.TgdConfig(eta=1.0, alpha=1.2, t0=1)
         with pytest.raises(InvalidInputError):
             tgd.TgdConfig(eta=1.0, alpha=0.5, t0=-1)
+        with pytest.raises(InvalidInputError):
+            tgd.TgdConfig(eta=1.0, alpha=0.5, t0=2.5)

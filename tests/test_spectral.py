@@ -9,7 +9,7 @@ def manual_dataset(designs, y, labels=None):
     designs = np.asarray(designs, dtype=float)
     n, n1, n2 = designs.shape
     return synth.Dataset(
-        n1=n1, n2=n2, sigma=0.0, seed=0, storage_mode="stored",
+        n1=n1, n2=n2, sigma=0.0, seed=0,
         y=np.asarray(y, dtype=float),
         hidden_labels=np.zeros(n, dtype=np.int64) if labels is None else np.asarray(labels),
         designs_flat=designs.reshape(n, n1 * n2).copy(),

@@ -158,7 +158,8 @@ class TestSampleDataset:
         ds = synth.sample_dataset(gt, N=4, sigma=0.0, seed=1)
         m = gt.matrix(0)
         for i in range(4):
-            assert abs(ds.y[i] - np.vdot(ds.design(i), m)) < 1e-12 * max(1.0, abs(ds.y[i]))
+            a = ds.design_rows([i]).reshape(2, 2)
+            assert abs(ds.y[i] - np.vdot(a, m)) < 1e-12 * max(1.0, abs(ds.y[i]))
 
     def test_noiseless_consistency_bitexact(self):
         gt = equal_mixture(5, K=2, r=1, seed=4)
@@ -174,32 +175,43 @@ class TestSampleDataset:
 
     def test_streamed_stored_bit_equality(self):
         gt = equal_mixture(6, K=2, r=2, seed=11)
-        stored = synth.sample_dataset(gt, N=2100, sigma=0.3, seed=13, storage_mode="stored")
-        streamed = synth.sample_dataset(gt, N=2100, sigma=0.3, seed=13, storage_mode="streamed")
-        assert streamed.designs_flat is None
-        assert (stored.y == streamed.y).all()
-        assert (stored.hidden_labels == streamed.hidden_labels).all()
-        idx = np.array([0, 1, 17, 1024, 2099])
-        assert (stored.design_rows(idx) == streamed.design_rows(idx)).all()
-        for (lo1, hi1, b1), (lo2, hi2, b2) in zip(
-            stored.iter_design_blocks(), streamed.iter_design_blocks()
-        ):
-            assert lo1 == lo2 and hi1 == hi2 and (b1 == b2).all()
+        nn = 36
+        stored = synth.sample_dataset(gt, N=2100, sigma=0.3, seed=13, stored_budget=2100 * nn)
+        streamed = synth.sample_dataset(gt, N=2100, sigma=0.3, seed=13, stored_budget=0)
+        # the stored prefix ends inside the second block
+        hybrid = synth.sample_dataset(gt, N=2100, sigma=0.3, seed=13, stored_budget=1500 * nn)
+        assert (stored.stored_rows, streamed.stored_rows, hybrid.stored_rows) == (2100, 0, 1500)
+        idx = np.array([0, 1, 17, 1024, 1499, 1500, 2099])
+        for other in (streamed, hybrid):
+            assert (stored.y == other.y).all()
+            assert (stored.hidden_labels == other.hidden_labels).all()
+            assert (stored.design_rows(idx) == other.design_rows(idx)).all()
+            blocks = list(other.iter_design_blocks())
+            assert len(blocks) == 3
+            for (lo1, hi1, b1), (lo2, hi2, b2) in zip(stored.iter_design_blocks(), blocks):
+                assert lo1 == lo2 and hi1 == hi2 and (b1 == b2).all()
 
     def test_streamed_regeneration_is_stable(self):
         gt = equal_mixture(4, K=1, r=1, seed=2)
-        ds = synth.sample_dataset(gt, N=10, sigma=1.0, seed=5, storage_mode="streamed")
+        ds = synth.sample_dataset(gt, N=10, sigma=1.0, seed=5, stored_budget=0)
         once = ds.design_rows(np.arange(10))
         again = ds.design_rows(np.arange(10))
         assert (once == again).all()
+        for bad in ([10], [-1], [[0]]):
+            with pytest.raises(InvalidInputError):
+                ds.design_rows(bad)
 
     def test_auto_storage_policy(self):
         gt = equal_mixture(4, K=1, r=1, seed=2)
+        nn = 16
         small = synth.sample_dataset(gt, N=8, sigma=0.0, seed=0)
-        assert small.storage_mode == "stored"
-        big = synth.sample_dataset(gt, N=8, sigma=0.0, seed=0, stored_budget=4)
-        assert big.storage_mode == "streamed"
-        assert (small.y == big.y).all()
+        assert small.stored_rows == 8
+        for budget in (0, 4, nn, 5 * nn + 3, 8 * nn, 100 * nn):
+            ds = synth.sample_dataset(gt, N=8, sigma=0.0, seed=0, stored_budget=budget)
+            assert ds.stored_rows == min(8, budget // nn)
+            assert ds.designs_flat.shape == (ds.stored_rows, nn)
+            assert (small.y == ds.y).all()
+            assert (small.design_rows(np.arange(8)) == ds.design_rows(np.arange(8))).all()
 
     def test_variance_matches_moments(self):
         gt = synth.make_ground_truth(4, 4, [2], [1.0], [[1.2, 0.7]], seed=3)
@@ -218,11 +230,16 @@ class TestSampleDataset:
         for sigma in (math.nan, math.inf):
             with pytest.raises(InvalidInputError):
                 synth.sample_dataset(gt, N=5, sigma=sigma, seed=0)
+        for seed in (-1, 1.5):
+            with pytest.raises(InvalidInputError):
+                synth.sample_dataset(gt, N=5, sigma=0.0, seed=seed)
+        with pytest.raises(InvalidInputError):
+            synth.sample_dataset(gt, N=5.0, sigma=0.0, seed=0)
 
     def test_dataset_array_checks(self):
-        def make(y, designs_flat):
+        def make(y, designs_flat, seed=0):
             return synth.Dataset(
-                n1=2, n2=3, sigma=0.0, seed=0, storage_mode="stored", y=y,
+                n1=2, n2=3, sigma=0.0, seed=seed, y=y,
                 hidden_labels=np.zeros(len(y), dtype=np.int64), designs_flat=designs_flat,
             )
 
@@ -233,6 +250,8 @@ class TestSampleDataset:
             make(np.zeros(4), np.zeros((4, 5)))  # rows are not n1 * n2 wide
         with pytest.raises(InvalidInputError):
             make(np.array([0.0, np.nan, 0.0, 0.0]), np.zeros((4, 6)))
+        with pytest.raises(InvalidInputError):
+            make(np.zeros(4), np.zeros((0, 6)), seed=-1)  # rows cannot be regenerated
 
     def test_deterministic(self):
         gt = equal_mixture(5, K=2, r=1, seed=1)
