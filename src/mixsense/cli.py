@@ -27,8 +27,7 @@ from .errors import ConfigError, InvalidInputError, MixsenseError
 from .pipeline import PipelineConfig, RecoveryReport, run_pipeline
 from .synth import make_ground_truth, sample_dataset
 
-# Trial t of an experiment uses master seed `seed + TRIAL_STRIDE * t`; the
-# independent stage-2 dataset (split mode) uses the trial seed + 1.
+# Trial t of an experiment uses master seed `seed + TRIAL_STRIDE * t`.
 TRIAL_STRIDE = 1000
 # In noise sweeps, the dataset seed also moves with the noise-level index so
 # the points are independent draws.
@@ -47,7 +46,6 @@ class ExperimentConfig:
     spectra: Optional[List[List[float]]] = None  # default: all-ones per rank
     sigma: Union[float, List[float]] = 0.0
     N: Union[int, str] = "90nrK"
-    n_mlr: Optional[int] = None
     seed: int = 0
     trials: int = 1
     pipeline: dict = field(default_factory=dict)
@@ -75,7 +73,7 @@ class ExperimentConfig:
 
 
 _REQUIRED = ("n1", "n2", "K", "ranks")
-_OPTIONAL = ("proportions", "spectra", "sigma", "N", "n_mlr", "seed", "trials", "pipeline")
+_OPTIONAL = ("proportions", "spectra", "sigma", "N", "seed", "trials", "pipeline")
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -119,6 +117,7 @@ def load_config(path) -> ExperimentConfig:
 def _pipeline_config(cfg: ExperimentConfig, seed: int) -> PipelineConfig:
     section = dict(cfg.pipeline)
     section.setdefault("supplied_ranks", cfg.ranks)
+    section.setdefault("supplied_proportions", cfg.resolved_proportions())
     try:
         return PipelineConfig(k_components=cfg.K, seed=seed, **section)
     except (TypeError, InvalidInputError) as exc:
@@ -131,12 +130,8 @@ def _run_trial(cfg: ExperimentConfig, sigma: float, trial: int, sigma_idx: int =
         cfg.n1, cfg.n2, cfg.ranks, cfg.resolved_proportions(), cfg.resolved_spectra(), seed,
     )
     pipe_cfg = _pipeline_config(cfg, seed=seed)
-    d_main = sample_dataset(gt, cfg.resolved_n(), sigma, seed)
-    d_mlr = None
-    if pipe_cfg.theory_mode or not pipe_cfg.reuse_samples:
-        n_mlr = cfg.n_mlr or cfg.resolved_n()
-        d_mlr = sample_dataset(gt, n_mlr, sigma, seed + 1)
-    report = run_pipeline(d_main, d_mlr, pipe_cfg, truth=gt)
+    dataset = sample_dataset(gt, cfg.resolved_n(), sigma, seed)
+    report = run_pipeline(dataset, None, pipe_cfg, truth=gt)
     return seed, report
 
 

@@ -3,7 +3,6 @@ initialization, then one truncated-gradient refinement per component."""
 
 import contextlib
 import json
-import warnings
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -17,26 +16,22 @@ from .scaledtgd import TgdConfig, TgdTrace, run_scaledtgd
 from .synth import Dataset, GroundTruth
 
 
+# Stage-3 step policy: component k gets step size ``ETA_SCALE / p_k`` and
+# truncating fraction ``ALPHA_SCALE * p_k``, where p_k is its proportion.
+ETA_SCALE = 1.3
+ALPHA_SCALE = 0.8
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs for one end-to-end run.
-
-    Step sizes and truncating fractions are derived from per-component
-    proportions as ``eta_k = eta_scale / p_k`` and ``alpha_k = alpha_scale *
-    p_k``. In theory mode the truncating scale is restricted to [0.6, 0.8],
-    and stage 2 must run on an independent sample set.
-    """
+    """Knobs for one end-to-end run."""
 
     k_components: int
     supplied_r_joint: Optional[int] = None
     supplied_ranks: Optional[Tuple[int, ...]] = None
     supplied_proportions: Optional[Tuple[float, ...]] = None
-    eta_scale: float = 1.3
-    alpha_scale: float = 0.8
     t0: int = 200
     early_stop_tol: float = 0.0
-    reuse_samples: bool = True
-    theory_mode: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -44,17 +39,10 @@ class PipelineConfig:
             raise InvalidInputError(
                 f"k_components must be an integer >= 1, got {self.k_components!r}"
             )
-        if not 0.0 < self.eta_scale <= 1.3:
-            raise InvalidInputError(f"eta_scale must lie in (0, 1.3], got {self.eta_scale}")
-        if self.theory_mode:
-            if not 0.6 <= self.alpha_scale <= 0.8:
-                raise InvalidInputError(
-                    f"theory mode requires alpha_scale in [0.6, 0.8], got {self.alpha_scale}"
-                )
-        elif not 0.0 < self.alpha_scale <= 1.0:
-            raise InvalidInputError(f"alpha_scale must lie in (0, 1], got {self.alpha_scale}")
         if not isinstance(self.t0, (int, np.integer)) or self.t0 < 1:
             raise InvalidInputError(f"t0 must be an integer >= 1, got {self.t0!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
         for name in ("supplied_ranks", "supplied_proportions"):
             val = getattr(self, name)
             if val is not None:
@@ -65,25 +53,25 @@ class PipelineConfig:
             isinstance(r, (int, np.integer)) for r in self.supplied_ranks
         ):
             raise InvalidInputError(f"supplied_ranks must be integers, got {self.supplied_ranks}")
+        if self.supplied_proportions is not None and not all(
+            0.0 < p < np.inf for p in self.supplied_proportions
+        ):
+            raise InvalidInputError(
+                f"supplied_proportions must be positive and finite, got {self.supplied_proportions}"
+            )
 
 
-class StepParams(NamedTuple):
-    eta: float
-    alpha: float
-
-
-def default_params(proportions: Sequence[float], cfg: PipelineConfig) -> List[StepParams]:
-    """Per-component step size and truncating fraction from proportions.
+def default_params(proportions: Sequence[float], cfg: PipelineConfig) -> List[TgdConfig]:
+    """Per-component stage-3 configs from proportions.
 
     The truncating fraction is capped at 1 in case an estimated proportion
     overshoots.
     """
-    params = []
-    for p in proportions:
-        if not p > 0:
-            raise InvalidInputError(f"proportions must be positive, got {p}")
-        params.append(StepParams(eta=cfg.eta_scale / p, alpha=min(cfg.alpha_scale * p, 1.0)))
-    return params
+    return [
+        TgdConfig(eta=ETA_SCALE / p, alpha=min(ALPHA_SCALE * p, 1.0),
+                  t0=cfg.t0, early_stop_tol=cfg.early_stop_tol)
+        for p in proportions
+    ]
 
 
 class AlignmentResult(NamedTuple):
@@ -186,41 +174,24 @@ def run_pipeline(
 
     Stage 1 (:func:`spectral.subspace_estimate`) estimates the joint rank
     unless `cfg.supplied_r_joint` is set. Stage 2 (:func:`initialize_all`)
-    estimates each component's rank unless `cfg.supplied_ranks` is set; it
-    reuses `d_main` unless `cfg.reuse_samples` is False or theory mode is
-    on, in which case `d_mlr` must be supplied. Stage 3 refines the
-    components one after another on `d_main`. Proportions for the
-    per-component step policy come from `cfg.supplied_proportions` first,
-    then from `truth` when given, then from the estimated mixture weights.
-    The permutation in the report is evaluation-only and never feeds back
-    into the solver.
+    runs on `d_mlr` when it is given and on `d_main` otherwise, and
+    estimates each component's rank unless `cfg.supplied_ranks` is set.
+    Stage 3 refines the components one after another on `d_main`, with the
+    step policy of :func:`default_params` applied to
+    `cfg.supplied_proportions`, or to the stage-2 mixture weights when none
+    are supplied. `truth` is read only for evaluation: trace targets,
+    initialization errors, the component alignment and the subspace
+    distances; it never feeds back into the solver.
     """
     K = cfg.k_components
-    use_split = cfg.theory_mode or not cfg.reuse_samples
-    if use_split and d_mlr is None:
-        raise InvalidInputError("independent stage-2 samples required when not reusing")
-
     with _stage("stage1"):
         sub = spectral.subspace_estimate(spectral.data_matrix(d_main), cfg.supplied_r_joint)
 
     with _stage("stage2"):
         init = initialize_all(
-            d_mlr if use_split else d_main, sub, cfg.supplied_ranks, cfg.seed, k_components=K,
+            d_main if d_mlr is None else d_mlr, sub, cfg.supplied_ranks, cfg.seed,
+            k_components=K,
         )
-
-    if cfg.supplied_proportions is not None:
-        proportions = list(cfg.supplied_proportions)
-    elif truth is not None:
-        proportions = list(truth.proportions)
-    else:
-        proportions = list(init.mlr.weights)
-    if cfg.theory_mode and min(proportions) < 1.0 / (4.0 * K):
-        warnings.warn(
-            f"smallest proportion {min(proportions):.3g} is below 1/(4K); "
-            "the balanced-mixture regime no longer holds",
-            RuntimeWarning,
-        )
-    params = default_params(proportions, cfg)
 
     truth_mats = truth.matrices() if truth is not None else None
     init_products = [f.product() for f in init.factors]
@@ -233,15 +204,13 @@ def run_pipeline(
             trace_targets[k] = truth_mats[j]
             init_errors[k] = errs[j]
 
+    proportions = (
+        init.mlr.weights if cfg.supplied_proportions is None else cfg.supplied_proportions
+    )
     with _stage("stage3"):
         runs = [
-            run_scaledtgd(
-                d_main, init.factors[k],
-                TgdConfig(eta=params[k].eta, alpha=params[k].alpha,
-                          t0=cfg.t0, early_stop_tol=cfg.early_stop_tol),
-                truth=trace_targets[k],
-            )
-            for k in range(K)
+            run_scaledtgd(d_main, init.factors[k], tgd_cfg, truth=trace_targets[k])
+            for k, tgd_cfg in enumerate(default_params(proportions, cfg))
         ]
 
     estimates = [run.final.product() for run in runs]

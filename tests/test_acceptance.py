@@ -39,8 +39,6 @@ def reference_pipeline_config(seed, t0=150):
         k_components=K,
         supplied_ranks=(RANK,) * K,
         supplied_proportions=(1.0 / K,) * K,
-        eta_scale=1.3,
-        alpha_scale=0.8,
         t0=t0,
         early_stop_tol=1e-13,
         seed=seed,

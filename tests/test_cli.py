@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +53,8 @@ class TestConfigParsing:
         cfg = cli.parse_config(tiny_config(K=2, ranks=[1, 2]))
         assert cfg.resolved_proportions() == [0.5, 0.5]
         assert cfg.resolved_spectra() == [[1.0], [1.0, 1.0]]
+        pipe = cli._pipeline_config(cfg, seed=0)
+        assert pipe.supplied_ranks == (1, 2) and pipe.supplied_proportions == (0.5, 0.5)
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
@@ -63,7 +66,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cli.parse_config(tiny_config(pipeline={"t0": 0}))
         with pytest.raises(ConfigError):
+            cli.parse_config(tiny_config(pipeline={"supplied_proportions": [0.0]}))
+        with pytest.raises(ConfigError):
             cli.parse_config({"n1": 4})
+
+    def test_shipped_configs_load(self):
+        paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+        assert paths
+        for path in paths:
+            cli.load_config(path)  # also builds its PipelineConfig
 
 
 class TestRunCommand:

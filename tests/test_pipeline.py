@@ -59,44 +59,24 @@ class TestAlignComponents:
 
 class TestDefaultParams:
     def test_equal_thirds(self):
-        cfg = pl.PipelineConfig(k_components=3)
+        cfg = pl.PipelineConfig(k_components=3, t0=7, early_stop_tol=1e-13)
         params = pl.default_params([1 / 3] * 3, cfg)
-        for eta, alpha in params:
-            assert abs(eta - 3.9) < 1e-12
-            assert abs(alpha - 0.8 / 3) < 1e-12
+        for p in params:
+            assert abs(p.eta - 3.9) < 1e-12
+            assert abs(p.alpha - 0.8 / 3) < 1e-12
+            assert p.t0 == 7 and p.early_stop_tol == 1e-13
 
     def test_halves(self):
-        cfg = pl.PipelineConfig(k_components=2, eta_scale=1.0)
+        cfg = pl.PipelineConfig(k_components=2)
         params = pl.default_params([0.5, 0.5], cfg)
-        assert params[0].eta == 2.0 and params[1].eta == 2.0
+        assert params[0].eta == 2.6 and params[1].eta == 2.6
 
     def test_alpha_capped_at_one(self):
-        cfg = pl.PipelineConfig(k_components=1, alpha_scale=0.9)
-        assert pl.default_params([2.0], cfg)[0].alpha == 1.0
-
-    def test_nonpositive_proportion(self):
         cfg = pl.PipelineConfig(k_components=1)
-        with pytest.raises(InvalidInputError):
-            pl.default_params([0.0], cfg)
+        assert pl.default_params([2.0], cfg)[0].alpha == 1.0
 
 
 class TestPipelineConfig:
-    def test_theory_mode_alpha_window(self):
-        with pytest.raises(InvalidInputError):
-            pl.PipelineConfig(k_components=2, theory_mode=True, alpha_scale=0.5)
-        pl.PipelineConfig(k_components=2, theory_mode=True, alpha_scale=0.7)
-
-    def test_eta_scale_window(self):
-        with pytest.raises(InvalidInputError):
-            pl.PipelineConfig(k_components=1, eta_scale=1.4)
-        with pytest.raises(InvalidInputError):
-            pl.PipelineConfig(k_components=1, eta_scale=0.0)
-
-    def test_loose_alpha_outside_theory_mode(self):
-        pl.PipelineConfig(k_components=1, alpha_scale=0.95)
-        with pytest.raises(InvalidInputError):
-            pl.PipelineConfig(k_components=1, alpha_scale=1.05)
-
     def test_t0_and_lengths(self):
         with pytest.raises(InvalidInputError):
             pl.PipelineConfig(k_components=1, t0=0)
@@ -110,6 +90,14 @@ class TestPipelineConfig:
             pl.PipelineConfig(k_components=1, supplied_ranks=(1.5,))
         with pytest.raises(InvalidInputError):
             pl.PipelineConfig(k_components=1.0)
+        for seed in (-1, 1.5):
+            with pytest.raises(InvalidInputError):
+                pl.PipelineConfig(k_components=1, seed=seed)
+
+    def test_nonpositive_or_non_finite_proportions(self):
+        for props in ((0.0,), (-0.5,), (float("nan"),), (float("inf"),)):
+            with pytest.raises(InvalidInputError):
+                pl.PipelineConfig(k_components=1, supplied_proportions=props)
 
 
 def desk_problem(seed, n=16, K=1, r=2, mult=50, sigma=0.0):
@@ -121,8 +109,8 @@ def desk_problem(seed, n=16, K=1, r=2, mult=50, sigma=0.0):
 class TestRunPipeline:
     def test_single_component_noiseless(self):
         gt, ds = desk_problem(seed=0)
-        cfg = pl.PipelineConfig(k_components=1, supplied_ranks=(2,), t0=120,
-                                early_stop_tol=1e-13, seed=0)
+        cfg = pl.PipelineConfig(k_components=1, supplied_ranks=(2,), supplied_proportions=(1.0,),
+                                t0=120, early_stop_tol=1e-13, seed=0)
         rep = pl.run_pipeline(ds, None, cfg, truth=gt)
         assert rep.per_component[0].rel_error <= 1e-8
         assert rep.stage1.r_used == 2
@@ -170,22 +158,37 @@ class TestRunPipeline:
             assert rep.to_json() == reports[0].to_json()
             assert (rep.estimates[0] == reports[0].estimates[0]).all()
 
-    def test_split_mode_requires_second_dataset(self):
+    @staticmethod
+    def watch_stage2_datasets(monkeypatch):
+        seen = []
+        real_compress = ini.compress_samples
+
+        def watching_compress(dataset, sub):
+            seen.append(dataset)
+            return real_compress(dataset, sub)
+
+        monkeypatch.setattr(ini, "compress_samples", watching_compress)
+        return seen
+
+    def test_split_mode_requires_second_dataset(self, monkeypatch):
         gt, ds = desk_problem(seed=3)
-        cfg = pl.PipelineConfig(k_components=1, supplied_ranks=(2,), t0=10,
-                                reuse_samples=False, seed=3)
-        with pytest.raises(InvalidInputError):
-            pl.run_pipeline(ds, None, cfg, truth=gt)
         _, ds2 = desk_problem(seed=103)
+        seen = self.watch_stage2_datasets(monkeypatch)
+        cfg = pl.PipelineConfig(k_components=1, supplied_ranks=(2,), supplied_proportions=(1.0,),
+                                t0=10, seed=3)
         rep = pl.run_pipeline(ds, ds2, cfg, truth=gt)
         assert rep.stage1.r_used == 2
+        pl.run_pipeline(ds, None, cfg, truth=gt)
+        assert len(seen) == 2 and seen[0] is ds2 and seen[1] is ds
 
-    def test_theory_mode_runs_split(self):
+    def test_theory_mode_runs_split(self, monkeypatch):
         gt, ds = desk_problem(seed=4)
         _, ds2 = desk_problem(seed=104)
-        cfg = pl.PipelineConfig(k_components=1, supplied_ranks=(2,), t0=60,
-                                theory_mode=True, early_stop_tol=1e-13, seed=4)
+        seen = self.watch_stage2_datasets(monkeypatch)
+        cfg = pl.PipelineConfig(k_components=1, supplied_ranks=(2,), supplied_proportions=(1.0,),
+                                t0=60, early_stop_tol=1e-13, seed=4)
         rep = pl.run_pipeline(ds, ds2, cfg, truth=gt)
+        assert len(seen) == 1 and seen[0] is ds2
         assert rep.per_component[0].rel_error <= 1e-6
 
     def test_stage_tagging(self):
@@ -207,12 +210,21 @@ class TestRunPipeline:
         assert parsed["permutation"] == [0]
 
     def test_without_truth_no_evaluation_fields(self):
-        _, ds = desk_problem(seed=7)
+        gt, ds = desk_problem(seed=7)
         cfg = pl.PipelineConfig(k_components=1, supplied_ranks=(2,),
                                 supplied_proportions=(1.0,), t0=15, seed=7)
         rep = pl.run_pipeline(ds, None, cfg, truth=None)
         assert rep.per_component[0].rel_error is None
         assert rep.stage1.dist_u is None
+        # without supplied proportions the step sizes come from the stage-2
+        # weights, and truth changes only the evaluation fields
+        cfg = pl.PipelineConfig(k_components=1, supplied_ranks=(2,), t0=15, seed=7)
+        with_truth = pl.run_pipeline(ds, None, cfg, truth=gt)
+        without = pl.run_pipeline(ds, None, cfg, truth=None)
+        assert with_truth.per_component[0].rel_error is not None
+        assert (with_truth.estimates[0] == without.estimates[0]).all()
+        assert with_truth.per_component[0].trace.kept_counts == \
+            without.per_component[0].trace.kept_counts
 
     @pytest.mark.xfail(
         strict=True,
