@@ -1,5 +1,5 @@
 """Full three-stage recovery: subspace estimation, mixed-regression
-initialization, then one truncated-gradient refinement per component."""
+initialization, then truncated-gradient refinement of all components."""
 
 import contextlib
 import json
@@ -12,7 +12,7 @@ import scipy.optimize
 from . import core, spectral
 from .errors import InvalidInputError, MixsenseError, PipelineStageError
 from .initialization import initialize_all
-from .scaledtgd import TgdConfig, TgdTrace, run_scaledtgd
+from .scaledtgd import TgdConfig, TgdTrace, refine_components
 from .synth import Dataset, GroundTruth
 
 
@@ -43,6 +43,11 @@ class PipelineConfig:
             raise InvalidInputError(f"t0 must be an integer >= 1, got {self.t0!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not self.early_stop_tol >= 0:
+            raise InvalidInputError(f"early_stop_tol must be >= 0, got {self.early_stop_tol!r}")
+        r_joint = self.supplied_r_joint
+        if r_joint is not None and (not isinstance(r_joint, (int, np.integer)) or r_joint < 1):
+            raise InvalidInputError(f"supplied_r_joint must be an integer >= 1, got {r_joint!r}")
         for name in ("supplied_ranks", "supplied_proportions"):
             val = getattr(self, name)
             if val is not None:
@@ -50,9 +55,9 @@ class PipelineConfig:
                 if len(getattr(self, name)) != self.k_components:
                     raise InvalidInputError(f"{name} must have length {self.k_components}")
         if self.supplied_ranks is not None and not all(
-            isinstance(r, (int, np.integer)) for r in self.supplied_ranks
+            isinstance(r, (int, np.integer)) and r >= 1 for r in self.supplied_ranks
         ):
-            raise InvalidInputError(f"supplied_ranks must be integers, got {self.supplied_ranks}")
+            raise InvalidInputError(f"supplied_ranks must be integers >= 1: {self.supplied_ranks}")
         if self.supplied_proportions is not None and not all(
             0.0 < p < np.inf for p in self.supplied_proportions
         ):
@@ -128,6 +133,7 @@ class RecoveryReport:
                 {
                     "rel_error": c.rel_error,
                     "init_error": c.init_error,
+                    "stop_reason": c.trace.stop_reason,
                     "trace": [
                         {"iter": t, "tau": tau, "kept": kept, "rel_error": err}
                         for t, tau, kept, err in c.trace.rows()
@@ -176,7 +182,7 @@ def run_pipeline(
     unless `cfg.supplied_r_joint` is set. Stage 2 (:func:`initialize_all`)
     runs on `d_mlr` when it is given and on `d_main` otherwise, and
     estimates each component's rank unless `cfg.supplied_ranks` is set.
-    Stage 3 refines the components one after another on `d_main`, with the
+    Stage 3 refines all components together on `d_main`, with the
     step policy of :func:`default_params` applied to
     `cfg.supplied_proportions`, or to the stage-2 mixture weights when none
     are supplied. `truth` is read only for evaluation: trace targets,
@@ -208,10 +214,9 @@ def run_pipeline(
         init.mlr.weights if cfg.supplied_proportions is None else cfg.supplied_proportions
     )
     with _stage("stage3"):
-        runs = [
-            run_scaledtgd(d_main, init.factors[k], tgd_cfg, truth=trace_targets[k])
-            for k, tgd_cfg in enumerate(default_params(proportions, cfg))
-        ]
+        runs = refine_components(
+            d_main, init.factors, default_params(proportions, cfg), trace_targets
+        )
 
     estimates = [run.final.product() for run in runs]
     if truth_mats is not None:

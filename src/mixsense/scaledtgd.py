@@ -7,14 +7,14 @@ the full sample count.
 """
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import core
 from .errors import InvalidInputError, PreconditionerSingularError
 from .initialization import FactorPair
-from .synth import BLOCK, Dataset
+from .synth import SUB, Dataset
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class TgdConfig:
             raise InvalidInputError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not isinstance(self.t0, (int, np.integer)) or self.t0 < 0:
             raise InvalidInputError(f"t0 must be an integer >= 0, got {self.t0!r}")
-        if self.early_stop_tol < 0:
+        if not self.early_stop_tol >= 0:
             raise InvalidInputError("early_stop_tol must be >= 0")
 
 
@@ -45,6 +45,7 @@ class TgdTrace:
     taus: List[float] = field(default_factory=list)
     kept_counts: List[int] = field(default_factory=list)
     rel_errors: List[Optional[float]] = field(default_factory=list)
+    stop_reason: Optional[str] = None  # "budget", "early_stop" or "singular_preconditioner"
 
     def append(self, t: int, tau: float, kept: int, rel_error: Optional[float]):
         self.iters.append(int(t))
@@ -75,16 +76,26 @@ class TgdRun(NamedTuple):
     trace: TgdTrace
 
 
-def residuals(dataset: Dataset, factors: FactorPair) -> np.ndarray:
-    """Signed residuals ``<A_i, l r^T> - y_i`` in sample order."""
-    if factors.l.shape[0] != dataset.n1 or factors.r.shape[0] != dataset.n2:
+def _residual_pass(dataset: Dataset, factor_list: Sequence[FactorPair]) -> np.ndarray:
+    """Signed residuals ``<A_i, l r^T> - y_i`` of each factor pair, one row
+    per pair. Each SUB-row slice of a design block serves every pair while
+    it is in cache."""
+    if any(f.l.shape[0] != dataset.n1 or f.r.shape[0] != dataset.n2 for f in factor_list):
         raise InvalidInputError("factor shapes do not match the dataset")
-    pvec = factors.product().ravel()
-    out = np.empty(dataset.N)
+    pvecs = [f.product().ravel() for f in factor_list]
+    out = np.empty((len(pvecs), dataset.N))
     for lo, hi, rows in dataset.iter_design_blocks():
-        out[lo:hi] = rows @ pvec
+        for s in range(0, hi - lo, SUB):
+            sub = rows[s : s + SUB]
+            for res, pvec in zip(out, pvecs):
+                np.matmul(sub, pvec, out=res[lo + s : lo + s + len(sub)])
     out -= dataset.y
     return out
+
+
+def residuals(dataset: Dataset, factors: FactorPair) -> np.ndarray:
+    """Signed residuals ``<A_i, l r^T> - y_i`` in sample order."""
+    return _residual_pass(dataset, [factors])[0]
 
 
 def truncation_set(abs_residuals: np.ndarray, alpha: float) -> TruncationSet:
@@ -108,26 +119,75 @@ def _gram_solve_factor(f: np.ndarray) -> np.ndarray:
     return (vt.T / s**2) @ vt
 
 
-def _gradient(dataset: Dataset, res: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Sum of residual-weighted designs over the kept set, chunked in index
-    order for deterministic accumulation."""
-    acc = np.zeros(dataset.n1 * dataset.n2)
-    for lo in range(0, indices.size, BLOCK):
-        chunk = indices[lo : lo + BLOCK]
-        acc += res[chunk] @ dataset.design_rows(chunk)
-    return acc.reshape(dataset.n1, dataset.n2)
+def _gradient_pass(dataset: Dataset, weights, needed: np.ndarray) -> np.ndarray:
+    """Weighted design sums ``w @ A`` for each weight vector w, one row per
+    vector, accumulated per SUB-row slice of the design blocks. Unstored rows
+    outside `needed` read as zeros, which is exact where every weight is 0."""
+    acc = np.zeros((len(weights), dataset.n1 * dataset.n2))
+    for lo, hi, rows in dataset.iter_design_blocks(needed):
+        for s in range(0, hi - lo, SUB):
+            sub = rows[s : s + SUB]
+            for grad, w in zip(acc, weights):
+                grad += w[lo + s : lo + s + len(sub)] @ sub
+    return acc
 
 
-def _update(
-    dataset: Dataset, factors: FactorPair, res: np.ndarray, kept: np.ndarray, eta: float
-) -> FactorPair:
-    grad = _gradient(dataset, res, kept)
+def _update(factors: FactorPair, grad: np.ndarray, scale: float) -> FactorPair:
     inv_rr = _gram_solve_factor(factors.r)
     inv_ll = _gram_solve_factor(factors.l)
-    scale = eta / dataset.N
     l_next = factors.l - scale * (grad @ (factors.r @ inv_rr))
     r_next = factors.r - scale * (grad.T @ (factors.l @ inv_ll))
     return FactorPair(l=l_next, r=r_next)
+
+
+def refine_components(
+    dataset: Dataset,
+    inits: Sequence[FactorPair],
+    cfgs: Sequence[TgdConfig],
+    truths: Optional[Sequence[Optional[np.ndarray]]] = None,
+) -> List[TgdRun]:
+    """Iterate the truncated update of all components in lockstep, each until
+    its own budget or early stop, with one residual pass and one gradient
+    pass over the designs per iteration. A component reads only its own
+    residuals and weights, so its result is bit-identical to its solo run.
+    Trace rows of component k log the error against `truths[k]`, if given.
+    """
+    K, N = len(inits), dataset.N
+    truths = [None] * K if truths is None else list(truths)
+    if len(cfgs) != K or len(truths) != K:
+        raise InvalidInputError("need one config and one truth slot per component")
+    factors = list(inits)
+    traces = [TgdTrace(stop_reason="budget" if cfg.t0 == 0 else None) for cfg in cfgs]
+    pending = list(range(K))  # components whose current iterate has no trace row yet
+    t = 0
+    while pending:
+        res = _residual_pass(dataset, [factors[k] for k in pending])
+        active, weights, needed = [], [], np.zeros(N, dtype=bool)
+        for k, row in zip(pending, res):
+            trunc = truncation_set(np.abs(row), cfgs[k].alpha)
+            err = None if truths[k] is None else core.rel_fro_error(factors[k].product(), truths[k])
+            traces[k].append(t, trunc.tau, trunc.indices.size, err)
+            if traces[k].stop_reason is None:
+                active.append(k)
+                weights.append(np.where(np.abs(row) <= trunc.tau, row, 0.0))
+                needed[trunc.indices] = True
+        grads = _gradient_pass(dataset, weights, needed) if active else []
+        for k, grad in zip(active, grads):
+            f, cfg = factors[k], cfgs[k]
+            try:
+                factors[k] = _update(f, grad.reshape(dataset.n1, dataset.n2), cfg.eta / N)
+            except PreconditionerSingularError as exc:
+                traces[k].stop_reason = "singular_preconditioner"
+                raise PreconditionerSingularError(str(exc), trace=traces[k]) from exc
+            prod = f.product()
+            change = np.linalg.norm(factors[k].product() - prod) / max(np.linalg.norm(prod), 1e-300)
+            if cfg.early_stop_tol > 0.0 and change < cfg.early_stop_tol:
+                traces[k].stop_reason = "early_stop"
+            elif t + 1 == cfg.t0:
+                traces[k].stop_reason = "budget"
+        pending = active
+        t += 1
+    return [TgdRun(final=f, trace=trace) for f, trace in zip(factors, traces)]
 
 
 def scaledtgd_step(dataset: Dataset, factors: FactorPair, eta: float, alpha: float) -> StepResult:
@@ -137,12 +197,8 @@ def scaledtgd_step(dataset: Dataset, factors: FactorPair, eta: float, alpha: flo
     truncation set, and the normalization is 1/N regardless of how many
     samples were kept.
     """
-    if eta <= 0 or not 0.0 < alpha <= 1.0:
-        raise InvalidInputError("need eta > 0 and alpha in (0, 1]")
-    res = residuals(dataset, factors)
-    trunc = truncation_set(np.abs(res), alpha)
-    nxt = _update(dataset, factors, res, trunc.indices, eta)
-    return StepResult(factors=nxt, tau=trunc.tau, kept=int(trunc.indices.size))
+    run = run_scaledtgd(dataset, factors, TgdConfig(eta=eta, alpha=alpha, t0=1))
+    return StepResult(factors=run.final, tau=run.trace.taus[0], kept=run.trace.kept_counts[0])
 
 
 def run_scaledtgd(
@@ -157,29 +213,4 @@ def run_scaledtgd(
     When `truth` is given, every trace row logs the relative Frobenius error
     of the iterate against it.
     """
-    truth = None if truth is None else core.as_matrix(truth, "truth")
-    trace = TgdTrace()
-    f = f0
-
-    def rel_err(fac: FactorPair) -> Optional[float]:
-        return None if truth is None else core.rel_fro_error(fac.product(), truth)
-
-    for t in range(cfg.t0):
-        res = residuals(dataset, f)
-        trunc = truncation_set(np.abs(res), cfg.alpha)
-        trace.append(t, trunc.tau, trunc.indices.size, rel_err(f))
-        try:
-            f_next = _update(dataset, f, res, trunc.indices, cfg.eta)
-        except PreconditionerSingularError as exc:
-            raise PreconditionerSingularError(str(exc), trace=trace) from exc
-        if cfg.early_stop_tol > 0.0:
-            prod, prod_next = f.product(), f_next.product()
-            denom = max(float(np.linalg.norm(prod)), 1e-300)
-            if float(np.linalg.norm(prod_next - prod)) / denom < cfg.early_stop_tol:
-                f = f_next
-                break
-        f = f_next
-    final_res = residuals(dataset, f)
-    final_trunc = truncation_set(np.abs(final_res), cfg.alpha)
-    trace.append(len(trace), final_trunc.tau, final_trunc.indices.size, rel_err(f))
-    return TgdRun(final=f, trace=trace)
+    return refine_components(dataset, [f0], [cfg], [truth])[0]

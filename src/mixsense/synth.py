@@ -11,6 +11,12 @@ Randomness layout. Every dataset is derived from one integer master seed:
 Because each sample owns an independent stream, a dataset stores the design
 rows of a prefix of its samples, as many as its budget allows, and
 regenerates the rest on demand with bit-identical results.
+
+Row-block contract. Passes over the designs read them in `BLOCK`-row blocks
+and compute per-row products on `SUB`-row slices of a block. The BLAS GEMV
+kernel groups rows by 4, and every `BLOCK` and `SUB` boundary is a multiple
+of 4 from the first row, so a row's product has the same bits whether it is
+computed on a whole block (as `sample_dataset` does for y) or on a slice.
 """
 
 from dataclasses import dataclass, field
@@ -25,6 +31,9 @@ from .errors import InvalidInputError
 # iterate via Dataset.iter_design_blocks so that accumulation order (and
 # hence floating-point rounding) does not depend on how many rows are stored.
 BLOCK = 1024
+# Rows per cache-sized slice of a block, for passes that apply several
+# vectors to each slice while it is in cache; a multiple of 4 dividing BLOCK.
+SUB = 64
 
 # Default budget for stored design rows, in entries (~3.2 GB of float64);
 # a dataset stores min(N, budget // (n1 * n2)) rows.
@@ -210,18 +219,20 @@ class Dataset:
     def stored_rows(self) -> int:
         return int(self.designs_flat.shape[0])
 
-    def _read(self, key, end: int) -> np.ndarray:
+    def _read(self, key, end: int, needed=None) -> np.ndarray:
         """Design rows selected by `key`, a slice or an index array whose
         indices all lie below `end`. Rows of the stored prefix come from
         `designs_flat` (a view for a slice, one gather for an array); the
-        rest are regenerated from `seed`."""
+        rest are regenerated from `seed`, or read as zeros where `needed`
+        (a boolean mask over the samples) excludes them."""
         if end <= self.stored_rows:
             return self.designs_flat[key]
         idx = np.arange(self.N)[key]
         stored = idx < self.stored_rows
-        out = np.empty((idx.size, self.n1 * self.n2))
+        regen = ~stored if needed is None else ~stored & needed[idx]
+        out = np.zeros((idx.size, self.n1 * self.n2))
         out[stored] = self.designs_flat[idx[stored]]
-        for j in np.flatnonzero(~stored):
+        for j in np.flatnonzero(regen):
             _draw_sample(self.seed, idx[j], out[j])
         return out
 
@@ -233,11 +244,13 @@ class Dataset:
             raise InvalidInputError(f"sample indices must be a 1-D array in [0, {self.N})")
         return self._read(idx, end)
 
-    def iter_design_blocks(self) -> Iterator[Tuple[int, int, np.ndarray]]:
-        """Yield (lo, hi, rows) over fixed-size blocks in sample order."""
+    def iter_design_blocks(self, needed=None) -> Iterator[Tuple[int, int, np.ndarray]]:
+        """Yield (lo, hi, rows) over fixed-size blocks in sample order. With
+        a boolean mask `needed` over the samples, unstored rows outside it
+        read as zeros instead of being regenerated."""
         for lo in range(0, self.N, BLOCK):
             hi = min(lo + BLOCK, self.N)
-            yield lo, hi, self._read(slice(lo, hi), hi)
+            yield lo, hi, self._read(slice(lo, hi), hi, needed)
 
 
 def _draw_sample(seed: int, i: int, row: np.ndarray) -> float:
@@ -291,8 +304,8 @@ def sample_dataset(
         for k in range(gt.K):
             mask = lab == k
             if mask.any():
-                # full-block product so the arithmetic per row matches the
-                # residual passes bit for bit
+                # full-block product: by the row-block contract its rows
+                # match the residual passes' SUB-row products bit for bit
                 vals = block @ vec_ms[k]
                 yb[mask] = vals[mask]
         y[lo:hi] = yb + sigma * noise

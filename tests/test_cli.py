@@ -129,6 +129,11 @@ class TestRunCommand:
         report = json.loads((out / "report.json").read_text())
         assert [t["seed"] for t in report["trials"]] == [0]
 
+    def test_negative_tolerance_exits_2(self, tmp_path):
+        path = write_config(tmp_path, tiny_config(pipeline={"t0": 10, "early_stop_tol": -1.0}))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+
     def test_sigma_list_rejected_for_run(self, tmp_path):
         path = write_config(tmp_path, tiny_config(sigma=[0.0, 0.1]))
         out = tmp_path / "out"

@@ -94,6 +94,17 @@ class TestPipelineConfig:
             with pytest.raises(InvalidInputError):
                 pl.PipelineConfig(k_components=1, seed=seed)
 
+    def test_bad_tolerance_and_ranks(self):
+        for tol in (-1.0, float("nan")):
+            with pytest.raises(InvalidInputError):
+                pl.PipelineConfig(k_components=1, early_stop_tol=tol)
+        for r_joint in (0, -2, 1.5):
+            with pytest.raises(InvalidInputError):
+                pl.PipelineConfig(k_components=1, supplied_r_joint=r_joint)
+        for ranks in ((0,), (1, -1)):
+            with pytest.raises(InvalidInputError):
+                pl.PipelineConfig(k_components=len(ranks), supplied_ranks=ranks)
+
     def test_nonpositive_or_non_finite_proportions(self):
         for props in ((0.0,), (-0.5,), (float("nan"),), (float("inf"),)):
             with pytest.raises(InvalidInputError):
@@ -170,9 +181,9 @@ class TestRunPipeline:
         monkeypatch.setattr(ini, "compress_samples", watching_compress)
         return seen
 
-    def test_split_mode_requires_second_dataset(self, monkeypatch):
+    def test_stage2_reads_d_mlr_when_given(self, monkeypatch):
         gt, ds = desk_problem(seed=3)
-        _, ds2 = desk_problem(seed=103)
+        ds2 = synth.sample_dataset(gt, ds.N, 0.0, seed=103)
         seen = self.watch_stage2_datasets(monkeypatch)
         cfg = pl.PipelineConfig(k_components=1, supplied_ranks=(2,), supplied_proportions=(1.0,),
                                 t0=10, seed=3)
@@ -181,9 +192,9 @@ class TestRunPipeline:
         pl.run_pipeline(ds, None, cfg, truth=gt)
         assert len(seen) == 2 and seen[0] is ds2 and seen[1] is ds
 
-    def test_theory_mode_runs_split(self, monkeypatch):
+    def test_stage2_on_d_mlr_then_recovers(self, monkeypatch):
         gt, ds = desk_problem(seed=4)
-        _, ds2 = desk_problem(seed=104)
+        ds2 = synth.sample_dataset(gt, ds.N, 0.0, seed=104)
         seen = self.watch_stage2_datasets(monkeypatch)
         cfg = pl.PipelineConfig(k_components=1, supplied_ranks=(2,), supplied_proportions=(1.0,),
                                 t0=60, early_stop_tol=1e-13, seed=4)
@@ -207,6 +218,7 @@ class TestRunPipeline:
         assert parsed["stage1"]["r_used"] == 2
         assert len(parsed["per_component"]) == 1
         assert len(parsed["per_component"][0]["trace"]) == len(rep.per_component[0].trace)
+        assert parsed["per_component"][0]["stop_reason"] == "budget"
         assert parsed["permutation"] == [0]
 
     def test_without_truth_no_evaluation_fields(self):

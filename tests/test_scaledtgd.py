@@ -52,6 +52,21 @@ class TestResiduals:
         expected = np.linalg.norm(delta) ** 2 + sigma**2
         assert abs(np.var(res) - expected) / expected < 0.05
 
+    @pytest.mark.parametrize("n", [4, 40])
+    def test_sub_blocks_match_block_products(self, rng, n):
+        # N is not a multiple of SUB; every row must carry the bits of the
+        # whole-BLOCK product that sample_dataset uses to generate y
+        N, nn = 1061, n * n // 2
+        designs = rng.standard_normal((N, nn))
+        y = rng.standard_normal(N)
+        ds = manual_dataset(designs, y, n, n // 2)
+        pair = FactorPair(l=rng.standard_normal((n, 2)), r=rng.standard_normal((n // 2, 2)))
+        pvec = pair.product().ravel()
+        expected = np.concatenate(
+            [designs[lo : lo + synth.BLOCK] @ pvec for lo in range(0, N, synth.BLOCK)]
+        ) - y
+        assert (tgd.residuals(ds, pair) == expected).all()
+
     def test_streamed_mode(self):
         gt = synth.make_ground_truth(4, 4, [1], [1.0], [[1.0]], seed=0)
         stored = synth.sample_dataset(gt, 600, 0.1, seed=2, stored_budget=600 * 16)
@@ -127,6 +142,10 @@ class TestStep:
         bad = FactorPair(l=np.hstack([np.ones((4, 1)), np.ones((4, 1))]), r=rng.standard_normal((4, 2)))
         with pytest.raises(PreconditionerSingularError):
             tgd.scaledtgd_step(ds, bad, eta=1.0, alpha=1.0)
+        with pytest.raises(PreconditionerSingularError) as exc_info:
+            tgd.run_scaledtgd(ds, bad, tgd.TgdConfig(eta=1.0, alpha=1.0, t0=5))
+        assert len(exc_info.value.trace) == 1
+        assert exc_info.value.trace.stop_reason == "singular_preconditioner"
 
     def test_reparameterization_invariance(self, rng):
         n1, n2, r = 6, 5, 2
@@ -220,6 +239,14 @@ class TestRun:
         assert len(out.trace) < 501
         assert out.trace.rel_errors[-1] <= 1e-8
 
+    def test_stop_reasons(self, rng):
+        ds, pair = exact_fit_dataset(rng, rng.standard_normal((3, 1)), rng.standard_normal((3, 1)), 60)
+        for t0 in (0, 3):
+            out = tgd.run_scaledtgd(ds, pair, tgd.TgdConfig(1.0, 0.8, t0=t0))
+            assert out.trace.stop_reason == "budget" and len(out.trace) == t0 + 1
+        out = tgd.run_scaledtgd(ds, pair, tgd.TgdConfig(1.0, 0.8, t0=3, early_stop_tol=1e-12))
+        assert out.trace.stop_reason == "early_stop" and len(out.trace) == 2
+
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             tgd.TgdConfig(eta=0.0, alpha=0.5, t0=1)
@@ -231,3 +258,97 @@ class TestRun:
             tgd.TgdConfig(eta=1.0, alpha=0.5, t0=-1)
         with pytest.raises(InvalidInputError):
             tgd.TgdConfig(eta=1.0, alpha=0.5, t0=2.5)
+        for tol in (-1.0, float("nan")):
+            with pytest.raises(InvalidInputError):
+                tgd.TgdConfig(eta=1.0, alpha=0.5, t0=1, early_stop_tol=tol)
+
+
+def mixture_problem(stored_budget, N=2100, seed=5):
+    """K = 3 rank-1 mixture on 6 x 5 matrices with initializations near the
+    planted components; step policy as in the pipeline."""
+    gt = synth.make_ground_truth(6, 5, [1] * 3, [1 / 3] * 3, [[1.0]] * 3, seed=seed)
+    ds = synth.sample_dataset(gt, N, 0.0, seed=seed, stored_budget=stored_budget)
+    g = np.random.default_rng(seed)
+    inits = [
+        FactorPair(c.u_star + 0.05 * g.standard_normal(c.u_star.shape), c.v_star * c.sigma_star)
+        for c in gt.components
+    ]
+    # a short budget, an early stop and a long budget
+    cfgs = [
+        tgd.TgdConfig(eta=3.9, alpha=0.8 / 3, t0=4),
+        tgd.TgdConfig(eta=3.9, alpha=0.8 / 3, t0=200, early_stop_tol=1e-3),
+        tgd.TgdConfig(eta=3.9, alpha=0.8 / 3, t0=20),
+    ]
+    return gt, ds, inits, cfgs
+
+
+def same_run(a, b):
+    return (
+        a.final.l.tobytes() == b.final.l.tobytes()
+        and a.final.r.tobytes() == b.final.r.tobytes()
+        and a.trace == b.trace
+    )
+
+
+class TestRefineComponents:
+    def test_each_component_matches_its_solo_run(self):
+        gt, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
+        truths = gt.matrices()
+        fused = tgd.refine_components(ds, inits, cfgs, truths)
+        assert [run.trace.stop_reason for run in fused] == ["budget", "early_stop", "budget"]
+        assert [len(run.trace) for run in fused][::2] == [5, 21]
+        assert 5 < len(fused[1].trace) < 21  # stops between the two budgets
+        for run, f0, cfg, truth in zip(fused, inits, cfgs, truths):
+            assert same_run(run, tgd.run_scaledtgd(ds, f0, cfg, truth=truth))
+            assert run.trace.rel_errors[-1] < run.trace.rel_errors[0]
+
+    def test_storage_does_not_change_bits(self):
+        runs = []
+        for rows in (2100, 1500, 0):  # stored, prefix ending inside a block, streamed
+            _, ds, inits, cfgs = mixture_problem(stored_budget=rows * 30)
+            assert ds.stored_rows == rows
+            runs.append(tgd.refine_components(ds, inits, cfgs))
+        for other in runs[1:]:
+            assert all(same_run(a, b) for a, b in zip(runs[0], other))
+
+    def test_regenerated_rows_per_pass(self, monkeypatch):
+        _, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
+        events = []
+        real_draw, real_trunc = synth._draw_sample, tgd.truncation_set
+
+        def draw(seed, i, row):
+            events.append(int(i))
+            return real_draw(seed, i, row)
+
+        def trunc(abs_residuals, alpha):
+            out = real_trunc(abs_residuals, alpha)
+            events.append(set(out.indices.tolist()))
+            return out
+
+        monkeypatch.setattr(synth, "_draw_sample", draw)
+        monkeypatch.setattr(tgd, "truncation_set", trunc)
+        runs = tgd.refine_components(ds, inits, cfgs)
+        unstored = list(range(ds.stored_rows, ds.N))
+        lengths = [len(run.trace) for run in runs]
+        pos = 0
+        for t in range(max(lengths)):
+            pending = [k for k, n in enumerate(lengths) if t < n]
+            active = [k for k, n in enumerate(lengths) if t < n - 1]
+            # residual pass: every unstored row once, for all components
+            assert events[pos : pos + len(unstored)] == unstored
+            pos += len(unstored)
+            kept = dict(zip(pending, events[pos : pos + len(pending)]))
+            pos += len(pending)
+            if active:
+                # gradient pass: only unstored rows some active component keeps
+                union = set().union(*(kept[k] for k in active))
+                wanted = [i for i in unstored if i in union]
+                assert 0 < len(wanted) < len(unstored)
+                assert events[pos : pos + len(wanted)] == wanted
+                pos += len(wanted)
+        assert pos == len(events)
+
+    def test_mismatched_lengths(self):
+        _, ds, inits, cfgs = mixture_problem(stored_budget=0, N=60)
+        with pytest.raises(InvalidInputError):
+            tgd.refine_components(ds, inits, cfgs[:2])
