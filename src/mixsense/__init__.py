@@ -40,15 +40,15 @@ from .mlr_tensor import (
     MlrEstimate,
     MomentSet,
     VecSamples,
+    Whitening,
     moments,
     robust_tensor_power,
     solve_mlr,
     split_samples,
-    tensor_apply,
+    third_moment,
     third_moment_correction,
     unwhiten,
     whiten,
-    whitened_tensor,
 )
 from .pipeline import (
     AlignmentResult,

@@ -1,10 +1,11 @@
 """Mixed linear regression via the method of moments and a robust tensor
 power method.
 
-Pipeline: split the samples in two halves, form second/third order moment
-estimates, whiten with the rank-K part of the second moment, decompose the
-whitened third-order tensor into K eigenpairs by deflated power iteration,
-and map the eigenpairs back to regression vectors and mixture weights.
+Pipeline: split the samples in two halves, whiten with the rank-K part of
+the first half's second moment, form the second half's third moment directly
+in the whitened K-dimensional coordinates (never the d x d x d tensor, so
+memory is O(N d)), decompose it into K eigenpairs by deflated power
+iteration, and map them back to regression vectors and mixture weights.
 """
 
 import warnings
@@ -39,12 +40,17 @@ class VecSamples(NamedTuple):
         return int(self.a.shape[1])
 
 
-@dataclass(frozen=True)
-class MomentSet:
+class Whitening(NamedTuple):
+    w: np.ndarray        # (d, K) map with w.T @ m2 @ w = I_K
+    ratio: float         # s_K / s_1 of m2, the whitening conditioning
+
+
+class MomentSet(NamedTuple):
     m0: float            # mean squared target
     m1: np.ndarray       # (d,) scaled third-order vector moment
     m2: np.ndarray       # (d, d) centered second moment
-    m3: np.ndarray       # (d, d, d) corrected symmetric third moment
+    whitening: Whitening
+    t3: np.ndarray       # (K, K, K) corrected third moment in whitened coordinates
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,7 @@ class MlrEstimate:
     betas: np.ndarray         # (K, d)
     weights: np.ndarray       # (K,)
     weight_flagged: np.ndarray  # (K,) bool
+    whitening_ratio: float    # s_K / s_1 of the whitened second moment
 
 
 def _check_samples(samples: VecSamples) -> VecSamples:
@@ -91,45 +98,54 @@ def split_samples(samples: VecSamples, seed) -> Tuple[VecSamples, VecSamples]:
     raise InvalidInputError("sample split degenerate after 8 attempts")
 
 
-def third_moment_correction(m: np.ndarray) -> np.ndarray:
-    """Symmetric tensor ``sum_i (m x e_i x e_i + e_i x m x e_i + e_i x e_i x m)``.
-
-    Entry (a, b, c) equals ``m_a [b==c] + m_b [a==c] + m_c [a==b]``.
-    """
+def third_moment_correction(m: np.ndarray, gram: Optional[np.ndarray] = None) -> np.ndarray:
+    """Symmetric tensor with entry (a, b, c) ``m_a G_bc + m_b G_ac + m_c G_ab``
+    for a Gram matrix G, the identity when None. ``(W^T m, W^T W)`` gives the
+    identity-Gram tensor of m contracted by W along all three modes."""
     m = np.asarray(m, dtype=np.float64).ravel()
-    eye = np.eye(m.size)
+    g = np.eye(m.size) if gram is None else np.asarray(gram, dtype=np.float64)
+    if g.shape != (m.size, m.size):
+        raise InvalidInputError(f"Gram shape {g.shape} mismatches vector dim {m.size}")
     return (
-        np.einsum("a,bc->abc", m, eye)
-        + np.einsum("b,ac->abc", m, eye)
-        + np.einsum("c,ab->abc", m, eye)
+        np.einsum("a,bc->abc", m, g)
+        + np.einsum("b,ac->abc", m, g)
+        + np.einsum("c,ab->abc", m, g)
     )
 
 
-def moments(set1: VecSamples, set2: VecSamples) -> MomentSet:
+def third_moment(samples: VecSamples, m1: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Corrected third moment contracted by `w` (d x K) along all three modes:
+    ``sum_i y_i^3 b_i x b_i x b_i / (6 n) - third_moment_correction(w^T m1,
+    w^T w)`` with ``b_i = w^T a_i``, from an (n, K^2) array. ``w = I`` gives
+    the full d x d x d moment."""
+    samples = _check_samples(samples)
+    w = core.as_matrix(w, "whitening matrix")
+    if w.shape[0] != samples.dim:
+        raise InvalidInputError(f"map shape {w.shape} mismatches sample dim {samples.dim}")
+    K = w.shape[1]
+    b = samples.a @ w
+    outer = (b[:, :, None] * b[:, None, :]).reshape(samples.n, K * K)
+    raw = ((b * samples.y[:, None] ** 3).T @ outer).reshape(K, K, K) / (6.0 * samples.n)
+    return raw - third_moment_correction(w.T @ m1, w.T @ w)
+
+
+def moments(set1: VecSamples, set2: VecSamples, K: int) -> MomentSet:
     """Moment estimates; `set1` feeds the even moments (m0, m2) and `set2`
-    the odd ones (m1, m3), mirroring the sample split."""
+    the odd ones (m1 and the third moment), mirroring the sample split. The
+    third moment comes whitened by the rank-K map of m2."""
     set1, set2 = _check_samples(set1), _check_samples(set2)
     if set1.dim != set2.dim:
         raise InvalidInputError("sample halves have different dimensions")
-    d = set1.dim
-    n1, n2 = set1.n, set2.n
     y1sq = set1.y**2
-    y2cu = set2.y**3
     m0 = float(np.mean(y1sq))
-    m1 = (y2cu @ set2.a) / (6.0 * n2)
-    m2 = (set1.a * y1sq[:, None]).T @ set1.a / (2.0 * n1) - 0.5 * m0 * np.eye(d)
-    weighted = set2.a * y2cu[:, None]
-    raw3 = (weighted.T @ _row_outer(set2.a)).reshape(d, d, d) / (6.0 * n2)
-    return MomentSet(m0=m0, m1=m1, m2=m2, m3=raw3 - third_moment_correction(m1))
+    m1 = (set2.y**3 @ set2.a) / (6.0 * set2.n)
+    m2 = (set1.a * y1sq[:, None]).T @ set1.a / (2.0 * set1.n) - 0.5 * m0 * np.eye(set1.dim)
+    whitening = whiten(m2, K)
+    return MomentSet(m0=m0, m1=m1, m2=m2, whitening=whitening,
+                     t3=third_moment(set2, m1, whitening.w))
 
 
-def _row_outer(a: np.ndarray) -> np.ndarray:
-    """(N, d) -> (N, d*d) rows of vectorized outer products a_i a_i^T."""
-    n, d = a.shape
-    return (a[:, :, None] * a[:, None, :]).reshape(n, d * d)
-
-
-def whiten(m2: np.ndarray, K: int) -> np.ndarray:
+def whiten(m2: np.ndarray, K: int) -> Whitening:
     """Whitening map W = U diag(s)^(-1/2) from the rank-K SVD of m2, so that
     W.T @ m2 @ W is the K x K identity for an exactly rank-K PSD input."""
     m2 = core.as_matrix(m2, "m2")
@@ -139,39 +155,10 @@ def whiten(m2: np.ndarray, K: int) -> np.ndarray:
     res = core.svd(m2)
     if res.s[0] <= 0.0:
         raise RankCollapseError("second moment is identically zero")
+    ratio = float(res.s[K - 1] / res.s[0])
     if res.s[K - 1] <= 1e-10 * res.s[0]:
-        raise DegenerateMomentError(
-            f"second moment rank below K={K}: spectrum ratio {res.s[K-1] / res.s[0]:.2e}"
-        )
-    return res.u[:, :K] / np.sqrt(res.s[:K])
-
-
-def whitened_tensor(t3: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Multilinear contraction t3(w, w, w) along all three modes."""
-    t3 = np.asarray(t3, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if t3.ndim != 3 or len(set(t3.shape)) != 1:
-        raise InvalidInputError(f"expected a cubic tensor, got shape {t3.shape}")
-    if w.ndim != 2 or w.shape[0] != t3.shape[0]:
-        raise InvalidInputError(f"map shape {w.shape} mismatches tensor dim {t3.shape[0]}")
-    out = np.tensordot(t3, w, axes=([0], [0]))
-    out = np.tensordot(out, w, axes=([0], [0]))
-    return np.tensordot(out, w, axes=([0], [0]))
-
-
-class TensorApply(NamedTuple):
-    value: float          # t3(u, u, u)
-    map: np.ndarray       # t3(I, u, u)
-
-
-def tensor_apply(t3: np.ndarray, u: np.ndarray) -> TensorApply:
-    t3 = np.asarray(t3, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64).ravel()
-    d = u.size
-    if t3.shape != (d, d, d):
-        raise InvalidInputError(f"tensor shape {t3.shape} mismatches vector dim {d}")
-    mapped = t3.reshape(d, d * d) @ np.outer(u, u).ravel()
-    return TensorApply(value=float(mapped @ u), map=mapped)
+        raise DegenerateMomentError(f"second moment rank below K={K}: spectrum ratio {ratio:.2e}")
+    return Whitening(w=res.u[:, :K] / np.sqrt(res.s[:K]), ratio=ratio)
 
 
 def robust_tensor_power(
@@ -207,7 +194,7 @@ def robust_tensor_power(
                 if norm < 1e-300:
                     break
                 u = mapped / norm
-            lam = float(tensor_apply(t3, u).value)
+            lam = float((tmat @ np.outer(u, u).ravel()) @ u)
             if lam < 0.0:
                 lam, u = -lam, -u
             if lam > best_lam:
@@ -221,10 +208,10 @@ def robust_tensor_power(
     return pairs
 
 
-def unwhiten(pairs: List[Tuple[float, np.ndarray]], w: np.ndarray) -> MlrEstimate:
+def unwhiten(pairs: List[Tuple[float, np.ndarray]], whitening: Whitening) -> MlrEstimate:
     """Map whitened eigenpairs back to weights and regression vectors:
     ``weight = 1 / lam^2`` and ``beta = lam * w (w^T w)^(-1) u``."""
-    w = core.as_matrix(w, "whitening matrix")
+    w = core.as_matrix(whitening.w, "whitening matrix")
     sv = np.linalg.svd(w, compute_uv=False)
     if sv[0] == 0.0 or (sv[-1] / sv[0]) ** 2 <= 1e-12:
         raise DegenerateWhiteningError("whitening matrix Gram is numerically singular")
@@ -241,7 +228,8 @@ def unwhiten(pairs: List[Tuple[float, np.ndarray]], w: np.ndarray) -> MlrEstimat
             "estimates kept but flagged",
             RuntimeWarning,
         )
-    return MlrEstimate(betas=betas, weights=weights, weight_flagged=flagged)
+    return MlrEstimate(betas=betas, weights=weights, weight_flagged=flagged,
+                       whitening_ratio=whitening.ratio)
 
 
 def solve_mlr(
@@ -258,8 +246,6 @@ def solve_mlr(
     restarts = 10 + 2 * K if restarts is None else restarts
     split_seed, power_seed = np.random.SeedSequence(entropy=seed).generate_state(2, np.uint64)
     half1, half2 = split_samples(samples, int(split_seed))
-    mom = moments(half1, half2)
-    w = whiten(mom.m2, K)
-    t3 = whitened_tensor(mom.m3, w)
-    pairs = robust_tensor_power(t3, K, restarts=restarts, iters=iters, seed=int(power_seed))
-    return unwhiten(pairs, w)
+    mom = moments(half1, half2, K)
+    pairs = robust_tensor_power(mom.t3, K, restarts=restarts, iters=iters, seed=int(power_seed))
+    return unwhiten(pairs, mom.whitening)

@@ -109,6 +109,12 @@ class Stage1Report:
 
 
 @dataclass
+class Stage2Report:
+    whitening_ratio: float          # s_K / s_1 of the whitened second moment
+    weight_flagged: List[bool]      # weights above the flag bound
+
+
+@dataclass
 class ComponentReport:
     """Diagnostics for one component in extraction order."""
 
@@ -123,6 +129,7 @@ class RecoveryReport:
     permutation: Tuple[int, ...]
     per_component: List[ComponentReport]
     stage1: Stage1Report
+    stage2: Stage2Report
     weights: np.ndarray
 
     def to_json_dict(self) -> dict:
@@ -145,6 +152,10 @@ class RecoveryReport:
                 "r_used": self.stage1.r_used,
                 "dist_u": self.stage1.dist_u,
                 "dist_v": self.stage1.dist_v,
+            },
+            "stage2": {
+                "whitening_ratio": self.stage2.whitening_ratio,
+                "weight_flagged": self.stage2.weight_flagged,
             },
             "weights": self.weights.tolist(),
         }
@@ -244,5 +255,6 @@ def run_pipeline(
             for k in range(K)
         ],
         stage1=Stage1Report(r_used=sub.r_joint, dist_u=dist_u, dist_v=dist_v),
+        stage2=Stage2Report(init.mlr.whitening_ratio, init.mlr.weight_flagged.tolist()),
         weights=init.mlr.weights.copy(),
     )

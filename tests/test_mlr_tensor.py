@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,16 +19,13 @@ def rank1_tensor(u, scale=1.0):
     return scale * np.einsum("i,j,k->ijk", u, u, u)
 
 
-def triple_loop_apply(t3, u):
-    d = u.size
-    value = 0.0
-    mapped = np.zeros(d)
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                value += t3[i, j, k] * u[i] * u[j] * u[k]
-                mapped[i] += t3[i, j, k] * u[j] * u[k]
-    return value, mapped
+def corrected_moment_oracle(samples, m1):
+    """Full d x d x d corrected third moment, straight from its definition."""
+    a, y = samples.a, samples.y
+    raw = np.einsum("i,ia,ib,ic->abc", y**3, a, a, a) / (6.0 * y.size)
+    eye = np.eye(a.shape[1])
+    return raw - (np.einsum("a,bc->abc", m1, eye) + np.einsum("b,ac->abc", m1, eye)
+                  + np.einsum("c,ab->abc", m1, eye))
 
 
 def triple_loop_contract(t3, w):
@@ -97,34 +95,48 @@ class TestThirdMomentCorrection:
         for perm in itertools.permutations(range(3)):
             assert (t == np.transpose(t, perm)).all()
 
+    def test_gram_matches_contracted_identity(self, rng):
+        d, K = 5, 3
+        m = rng.standard_normal(d)
+        w = rng.standard_normal((d, K))
+        t = mt.third_moment_correction(w.T @ m, w.T @ w)
+        assert np.abs(t - triple_loop_contract(mt.third_moment_correction(m), w)).max() < 1e-12
+
+    def test_gram_shape_mismatch(self):
+        with pytest.raises(InvalidInputError):
+            mt.third_moment_correction(np.ones(2), np.eye(3))
+
 
 class TestMoments:
     def test_hand_example(self):
         one = mt.VecSamples(np.array([[1.0, 0.0]]), np.array([1.0]))
-        mom = mt.moments(one, one)
+        mom = mt.moments(one, one, K=1)
         assert mom.m0 == 1.0
         np.testing.assert_allclose(mom.m1, [1 / 6, 0.0])
         np.testing.assert_allclose(mom.m2, np.diag([0.0, -0.5]))
+        m3 = mt.third_moment(one, mom.m1, np.eye(2))
         # raw third moment is e1 x e1 x e1 / 6; correction removes more
-        assert abs(mom.m3[0, 0, 0] - (-1 / 3)) < 1e-15
+        assert abs(m3[0, 0, 0] - (-1 / 3)) < 1e-15
         expected = rank1_tensor(np.array([1.0, 0.0]), 1 / 6) - mt.third_moment_correction(
             np.array([1 / 6, 0.0])
         )
-        assert (mom.m3 == expected).all()
+        assert (m3 == expected).all()
 
     def test_zero_targets(self, rng):
         a = rng.standard_normal((10, 2))
         zero = mt.VecSamples(a, np.zeros(10))
-        mom = mt.moments(zero, zero)
-        assert mom.m0 == 0.0
-        assert (mom.m1 == 0).all() and (mom.m2 == 0).all() and (mom.m3 == 0).all()
+        # a zero second moment has nothing to whiten
+        with pytest.raises(RankCollapseError):
+            mt.moments(zero, zero, K=1)
+        assert (mt.third_moment(zero, np.zeros(2), np.eye(2)) == 0).all()
 
     def test_symmetry_of_m3(self, rng):
         samples = mt.VecSamples(rng.standard_normal((50, 3)), rng.standard_normal(50))
-        mom = mt.moments(samples, samples)
+        mom = mt.moments(samples, samples, K=1)
+        m3 = mt.third_moment(samples, mom.m1, np.eye(3))
         for perm in itertools.permutations(range(3)):
-            assert np.abs(mom.m3 - np.transpose(mom.m3, perm)).max() <= 1e-10 * max(
-                1.0, np.abs(mom.m3).max()
+            assert np.abs(m3 - np.transpose(m3, perm)).max() <= 1e-10 * max(
+                1.0, np.abs(m3).max()
             )
 
     def test_population_single_component(self):
@@ -136,9 +148,10 @@ class TestMoments:
             a = g.standard_normal((100_000, 2))
             samples = mt.VecSamples(a, a @ beta)
             s1, s2 = mt.split_samples(samples, seed=seed)
-            mom = mt.moments(s1, s2)
+            mom = mt.moments(s1, s2, K=1)
+            m3 = mt.third_moment(s2, mom.m1, np.eye(2))
             hits_m2 += np.linalg.norm(mom.m2 - np.outer(beta, beta), 2) <= 0.15 * 4.0
-            hits_m3 += abs(mom.m3[0, 0, 0] - 8.0) <= 0.8
+            hits_m3 += abs(m3[0, 0, 0] - 8.0) <= 0.8
         assert hits_m2 >= 9 and hits_m3 >= 9
 
     def test_dim_mismatch(self):
@@ -146,21 +159,32 @@ class TestMoments:
             mt.moments(
                 mt.VecSamples(np.ones((2, 2)), np.ones(2)),
                 mt.VecSamples(np.ones((2, 3)), np.ones(2)),
+                K=1,
             )
+
+    def test_third_moment_is_whitened(self, rng):
+        set1 = mt.VecSamples(rng.standard_normal((80, 4)), rng.standard_normal(80))
+        set2 = mt.VecSamples(rng.standard_normal((60, 4)), rng.standard_normal(60))
+        mom = mt.moments(set1, set2, K=2)
+        w = mom.whitening.w
+        assert w.shape == (4, 2) and mom.t3.shape == (2, 2, 2)
+        assert (w == mt.whiten(mom.m2, K=2).w).all()
+        assert (mom.t3 == mt.third_moment(set2, mom.m1, w)).all()
 
 
 class TestWhiten:
     def test_rank_one_diag(self):
-        w = mt.whiten(np.diag([4.0, 0.0]), K=1)
-        np.testing.assert_allclose(w, [[0.5], [0.0]], atol=1e-14)
+        wh = mt.whiten(np.diag([4.0, 0.0]), K=1)
+        np.testing.assert_allclose(wh.w, [[0.5], [0.0]], atol=1e-14)
+        assert wh.ratio == 1.0
 
     def test_identity(self):
-        w = mt.whiten(np.eye(3), K=3)
+        w = mt.whiten(np.eye(3), K=3).w
         np.testing.assert_allclose(w.T @ np.eye(3) @ w, np.eye(3), atol=1e-12)
 
     def test_rank_one_outer(self):
         beta = np.array([2.0, 0.0])
-        w = mt.whiten(np.outer(beta, beta), K=1)
+        w = mt.whiten(np.outer(beta, beta), K=1).w
         assert abs(w.T @ np.outer(beta, beta) @ w - 1.0) < 1e-12
 
     def test_population_mixture_whitening(self, rng):
@@ -168,8 +192,10 @@ class TestWhiten:
         betas = rng.standard_normal((K, d))
         probs = np.array([0.2, 0.3, 0.5])
         m2 = sum(p * np.outer(b, b) for p, b in zip(probs, betas))
-        w = mt.whiten(m2, K)
-        assert np.linalg.norm(w.T @ m2 @ w - np.eye(K)) <= 1e-8
+        wh = mt.whiten(m2, K)
+        assert np.linalg.norm(wh.w.T @ m2 @ wh.w - np.eye(K)) <= 1e-8
+        s = np.linalg.svd(m2, compute_uv=False)
+        assert abs(wh.ratio - s[K - 1] / s[0]) <= 1e-12
 
     def test_rank_deficient(self):
         with pytest.raises(DegenerateMomentError):
@@ -181,48 +207,36 @@ class TestWhiten:
 
 
 class TestWhitenedTensor:
-    def test_identity_map(self):
-        t3 = rank1_tensor(np.array([1.0, 0.0]))
-        assert (mt.whitened_tensor(t3, np.eye(2)) == t3).all()
+    """`third_moment` forms the whitened tensor straight from the samples."""
+
+    def test_identity_map(self, rng):
+        samples = mt.VecSamples(rng.standard_normal((50, 4)), rng.standard_normal(50))
+        m1 = rng.standard_normal(4)
+        expected = corrected_moment_oracle(samples, m1)
+        got = mt.third_moment(samples, m1, np.eye(4))
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_rank_one_scalar(self):
-        t3 = rank1_tensor(np.array([1.0, 0.0]))
-        w = np.array([[0.5], [0.0]])
-        out = mt.whitened_tensor(t3, w)
+        one = mt.VecSamples(np.array([[1.0, 0.0]]), np.array([1.0]))
+        out = mt.third_moment(one, np.zeros(2), np.array([[0.5], [0.0]]))
         assert out.shape == (1, 1, 1)
-        assert abs(out[0, 0, 0] - 0.125) < 1e-15
+        assert abs(out[0, 0, 0] - 0.125 / 6) < 1e-15
 
     def test_matches_triple_loop(self, rng):
-        t3 = rng.standard_normal((3, 3, 3))
-        t3 = (t3 + t3.transpose(1, 0, 2) + t3.transpose(2, 1, 0)
-              + t3.transpose(0, 2, 1) + t3.transpose(1, 2, 0) + t3.transpose(2, 0, 1)) / 6
-        w = rng.standard_normal((3, 2))
-        assert np.abs(mt.whitened_tensor(t3, w) - triple_loop_contract(t3, w)).max() < 1e-12
+        # the full d x d x d moment from its definition, contracted entry by entry
+        for n, d, K in ((1, 1, 1), (40, 3, 2), (300, 6, 3)):
+            samples = mt.VecSamples(rng.standard_normal((n, d)), rng.standard_normal(n))
+            m1 = rng.standard_normal(d)
+            w = rng.standard_normal((d, K))
+            expected = triple_loop_contract(corrected_moment_oracle(samples, m1), w)
+            got = mt.third_moment(samples, m1, w)
+            assert got.shape == (K, K, K)
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
-            mt.whitened_tensor(np.zeros((2, 2, 2)), np.zeros((3, 1)))
-
-
-class TestTensorApply:
-    def test_aligned(self):
-        t3 = rank1_tensor(np.array([1.0, 0.0]))
-        res = mt.tensor_apply(t3, np.array([1.0, 0.0]))
-        assert res.value == 1.0
-        np.testing.assert_array_equal(res.map, [1.0, 0.0])
-
-    def test_orthogonal(self):
-        t3 = rank1_tensor(np.array([1.0, 0.0]))
-        res = mt.tensor_apply(t3, np.array([0.0, 1.0]))
-        assert res.value == 0.0 and (res.map == 0).all()
-
-    def test_matches_triple_loop(self, rng):
-        t3 = rng.standard_normal((4, 4, 4))
-        u = rng.standard_normal(4)
-        value, mapped = triple_loop_apply(t3, u)
-        res = mt.tensor_apply(t3, u)
-        assert abs(res.value - value) < 1e-12
-        assert np.abs(res.map - mapped).max() < 1e-12
+            mt.third_moment(mt.VecSamples(np.ones((2, 2)), np.ones(2)), np.ones(2),
+                            np.zeros((3, 1)))
 
 
 class TestRobustTensorPower:
@@ -271,30 +285,33 @@ class TestUnwhiten:
     def test_end_to_end_hand_computation(self):
         beta = np.array([2.0, 0.0])
         m2 = np.outer(beta, beta)
-        w = mt.whiten(m2, K=1)
+        wh = mt.whiten(m2, K=1)
+        w = wh.w[:, 0]
         t3 = rank1_tensor(beta)  # p = 1
-        lam = mt.whitened_tensor(t3, w)[0, 0, 0]
+        lam = np.einsum("abc,a,b,c->", t3, w, w, w)
         assert abs(lam - 1.0) < 1e-12
-        est = mt.unwhiten([(float(lam), np.array([1.0]))], w)
+        est = mt.unwhiten([(float(lam), np.array([1.0]))], wh)
         assert abs(est.weights[0] - 1.0) < 1e-10
         np.testing.assert_allclose(est.betas[0], beta, atol=1e-10)
 
     def test_weight_rule(self):
-        est = mt.unwhiten([(2.0, np.array([1.0, 0.0]))], np.eye(2))
+        est = mt.unwhiten([(2.0, np.array([1.0, 0.0]))], mt.Whitening(np.eye(2), 1.0))
         assert est.weights[0] == 0.25
 
     def test_identity_whitening(self):
-        est = mt.unwhiten([(1.0, np.array([1.0, 0.0]))], np.eye(2))
+        est = mt.unwhiten([(1.0, np.array([1.0, 0.0]))], mt.Whitening(np.eye(2), 1.0))
         np.testing.assert_array_equal(est.betas[0], [1.0, 0.0])
 
     def test_weight_flagging(self):
         with pytest.warns(RuntimeWarning):
-            est = mt.unwhiten([(0.5, np.array([1.0]))], np.array([[1.0], [0.0]]))
+            est = mt.unwhiten([(0.5, np.array([1.0]))], mt.Whitening(np.array([[1.0], [0.0]]), 1.0))
         assert est.weights[0] == 4.0 and est.weight_flagged[0]
+        assert est.whitening_ratio == 1.0
 
     def test_singular_gram(self):
         with pytest.raises(DegenerateWhiteningError):
-            mt.unwhiten([(1.0, np.array([1.0, 0.0]))], np.array([[1.0, 1.0], [1.0, 1.0]]))
+            mt.unwhiten([(1.0, np.array([1.0, 0.0]))],
+                        mt.Whitening(np.array([[1.0, 1.0], [1.0, 1.0]]), 1.0))
 
 
 class TestSolveMlr:
@@ -351,3 +368,21 @@ class TestSolveMlr:
         doubled = mt.solve_mlr(mt.VecSamples(a, 2.0 * y), K=1, seed=7)
         np.testing.assert_allclose(doubled.betas, 2.0 * base.betas, rtol=1e-8)
         np.testing.assert_allclose(doubled.weights, base.weights, rtol=1e-8)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_memory_stays_linear_in_dim(self, rng):
+        # no stage-2 array may hold d^2 entries per sample: the peak stays
+        # a small multiple of the input (a d^2-column outer-product array
+        # would be d = 36 times the input's size)
+        N, d, K = 4000, 36, 3
+        a = rng.standard_normal((N, d))
+        betas = rng.standard_normal((K, d))
+        y = np.einsum("nd,nd->n", a, betas[rng.integers(0, K, N)])
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            mt.solve_mlr(mt.VecSamples(a, y), K=K, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * a.nbytes

@@ -220,6 +220,12 @@ class TestRunPipeline:
         assert len(parsed["per_component"][0]["trace"]) == len(rep.per_component[0].trace)
         assert parsed["per_component"][0]["stop_reason"] == "budget"
         assert parsed["permutation"] == [0]
+        assert parsed["stage2"] == {
+            "whitening_ratio": rep.stage2.whitening_ratio,
+            "weight_flagged": [bool(w > 1.5) for w in rep.weights],
+        }
+        assert parsed["stage2"]["whitening_ratio"] == 1.0  # K = 1: s_1 / s_1
+        assert parsed["weights"] == rep.weights.tolist()
 
     def test_without_truth_no_evaluation_fields(self):
         gt, ds = desk_problem(seed=7)
