@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Full-scale run (n = 120, N = 64800). The dense designs would need ~7.5 GB,
 so under the default budget the dataset stores the first 27,777 rows (~43%,
-~3.2 GB) and regenerates the rest from per-sample seeds on every pass;
-expect a long single-threaded run (tens of minutes). Writes summary.csv,
-report.json, and trace.csv under out/paper."""
+~3.2 GB) and regenerates the rest from per-sample seeds on every pass.
+Expect one to two hours single-threaded: up to ~55 min per trial, run once
+for `run` and once for `trace` (extrapolated from per-row costs at n = 120,
+see the README). Writes summary.csv, report.json, and trace.csv under
+out/paper."""
 
 import pathlib
 import sys

@@ -40,10 +40,15 @@ class PreconditionerSingularError(MixsenseError):
 
 
 class PipelineStageError(MixsenseError):
-    """Wraps an error raised inside a pipeline stage with a stage tag."""
+    """Wraps an error raised inside a pipeline stage with a stage tag.
 
-    def __init__(self, stage: str, message: str):
+    `trace` is the wrapped error's partial trace when it carries one (a
+    stage-3 singular abort does), and None otherwise.
+    """
+
+    def __init__(self, stage: str, message: str, trace=None):
         self.stage = stage
+        self.trace = trace
         super().__init__(f"[{stage}] {message}")
 
 

@@ -174,11 +174,12 @@ def joint_basis(bases: Sequence[np.ndarray]) -> np.ndarray:
 
 @contextlib.contextmanager
 def _stage(tag: str):
-    """Tag a package error raised inside the block with its stage."""
+    """Tag a package error raised inside the block with its stage, keeping
+    its partial trace."""
     try:
         yield
     except MixsenseError as exc:
-        raise PipelineStageError(tag, str(exc)) from exc
+        raise PipelineStageError(tag, str(exc), getattr(exc, "trace", None)) from exc
 
 
 def run_pipeline(

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from mixsense import core, initialization as ini, pipeline as pl, synth
-from mixsense.errors import InvalidInputError, MixsenseError, PipelineStageError
+from mixsense import core, initialization as ini, pipeline as pl, scaledtgd, synth
+from mixsense.errors import (
+    InvalidInputError, MixsenseError, PipelineStageError, PreconditionerSingularError,
+)
 
 
 def brute_force_alignment(estimates, truths):
@@ -209,6 +211,28 @@ class TestRunPipeline:
         with pytest.raises(PipelineStageError) as exc_info:
             pl.run_pipeline(ds, None, cfg, truth=gt)
         assert exc_info.value.stage == "stage1"
+
+    def test_stage3_abort_keeps_partial_trace(self, monkeypatch):
+        gt, ds = desk_problem(seed=5)
+        cfg = pl.PipelineConfig(k_components=1, supplied_ranks=(2,), t0=10, seed=5)
+        real_solve, calls = scaledtgd._gram_solve_factor, []
+
+        def solve(f):
+            # two calls per update: the fifth is the first of iteration 2
+            calls.append(1)
+            if len(calls) == 5:
+                raise PreconditionerSingularError("forced")
+            return real_solve(f)
+
+        monkeypatch.setattr(scaledtgd, "_gram_solve_factor", solve)
+        with pytest.raises(PipelineStageError) as exc_info:
+            pl.run_pipeline(ds, None, cfg, truth=gt)
+        exc = exc_info.value
+        assert exc.stage == "stage3"
+        assert exc.trace is exc.__cause__.trace
+        assert exc.trace.stop_reason == "singular_preconditioner"
+        assert exc.trace.iters == [0, 1, 2]
+        assert all(err is not None for err in exc.trace.rel_errors)
 
     def test_report_json_round_trip(self):
         gt, ds = desk_problem(seed=6)

@@ -314,18 +314,18 @@ class TestRefineComponents:
     def test_regenerated_rows_per_pass(self, monkeypatch):
         _, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
         events = []
-        real_draw, real_trunc = synth._draw_sample, tgd.truncation_set
+        real_draw, real_trunc = synth._draw_rows, tgd.truncation_set
 
-        def draw(seed, i, row):
-            events.append(int(i))
-            return real_draw(seed, i, row)
+        def draw(seed, idx, out, at):
+            events.extend(int(i) for i in idx)
+            return real_draw(seed, idx, out, at)
 
         def trunc(abs_residuals, alpha):
             out = real_trunc(abs_residuals, alpha)
             events.append(set(out.indices.tolist()))
             return out
 
-        monkeypatch.setattr(synth, "_draw_sample", draw)
+        monkeypatch.setattr(synth, "_draw_rows", draw)
         monkeypatch.setattr(tgd, "truncation_set", trunc)
         runs = tgd.refine_components(ds, inits, cfgs)
         unstored = list(range(ds.stored_rows, ds.N))

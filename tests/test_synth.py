@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,19 @@ class TestSampleDataset:
         expected = np.linalg.norm(gt.matrix(0)) ** 2 + sigma**2
         assert abs(np.var(ds.y) - expected) / expected < 0.03
 
+    def test_index_word_bound(self):
+        # rejected before any per-sample array is allocated
+        gt = equal_mixture(4, K=3, r=1)
+        tracemalloc.start()
+        try:
+            for N in (2**32, 2**40):
+                with pytest.raises(InvalidInputError):
+                    synth.sample_dataset(gt, N=N, sigma=0.0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_too_few_samples(self):
         gt = equal_mixture(4, K=3, r=1)
         with pytest.raises(InvalidInputError):
@@ -264,3 +278,33 @@ class TestSampleDataset:
         ds = synth.sample_dataset(gt, N=5, sigma=0.0, seed=0)
         with pytest.raises(ValueError):
             ds.y[0] = 7.0
+
+
+class TestSampleStreams:
+    """The vectorized route to the per-sample streams against numpy's own
+    ``SeedSequence``: if numpy ever changes its seeding, these fail instead
+    of the data changing silently."""
+
+    # 0; two entropy words; five words, more than the 4-word pool
+    SEEDS = (0, 2**40 + 3, 2**130 + 9)
+    N = 64_800
+    IDX = np.array([0, synth.BLOCK - 1, synth.BLOCK, synth.BLOCK + 1, N - 1, 2**32 - 1])
+
+    def test_words_match_seed_sequence(self):
+        for seed in self.SEEDS:
+            words = synth._sample_words(seed, self.IDX)
+            assert words.dtype == np.uint64 and words.shape == (self.IDX.size, 4)
+            for i, w in zip(self.IDX, words):
+                live = np.random.SeedSequence(seed, spawn_key=(1, int(i)))
+                assert (w == live.generate_state(4, np.uint64)).all()
+
+    def test_draws_match_seed_sequence(self):
+        nn = 37
+        at = np.arange(self.IDX.size)[::-1]  # rows written out of order
+        for seed in self.SEEDS:
+            out = np.zeros((self.IDX.size, nn))
+            noise = synth._draw_rows(seed, self.IDX, out, at)
+            for j, i in enumerate(self.IDX):
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, int(i))))
+                assert out[at[j]].tobytes() == rng.standard_normal(nn).tobytes()
+                assert noise[j] == rng.standard_normal()
