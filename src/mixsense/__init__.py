@@ -44,8 +44,7 @@ from .mlr_tensor import (
     moments,
     robust_tensor_power,
     solve_mlr,
-    split_samples,
-    third_moment,
+    split_mask,
     third_moment_correction,
     unwhiten,
     whiten,

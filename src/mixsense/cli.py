@@ -152,6 +152,7 @@ def cmd_run(cfg: ExperimentConfig, out: Path) -> int:
     sigma = _scalar_sigma(cfg)
     summary_rows: List[list] = []
     reports: List[dict] = []
+    failed = None
     code = 0
     try:
         for t in range(cfg.trials):
@@ -164,10 +165,13 @@ def cmd_run(cfg: ExperimentConfig, out: Path) -> int:
     except (MixsenseError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         code = 3
+        trace = getattr(exc, "trace", None)  # a stage-3 abort's partial trace
+        failed = {"seed": cfg.seed + TRIAL_STRIDE * t, "stage": getattr(exc, "stage", None),
+                  "message": str(exc), "trace": None if trace is None else asdict(trace)}
     _write_csv(out / "summary.csv", ["seed", "component", "rel_error", "init_error", "R_used"],
                summary_rows)
     with open(out / "report.json", "w") as fh:
-        json.dump({"config": cfg.to_json_dict(), "trials": reports},
+        json.dump({"config": cfg.to_json_dict(), "trials": reports, "failed_trial": failed},
                   fh, sort_keys=True, indent=1)
     return code
 

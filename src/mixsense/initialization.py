@@ -52,7 +52,7 @@ def compress_samples(dataset: Dataset, sub: SubspaceEstimate) -> VecSamples:
     a = np.empty((dataset.N, R * R))
     for lo, hi, rows in dataset.iter_design_blocks():
         block = rows.reshape(hi - lo, dataset.n1, dataset.n2)
-        small = np.einsum("ji,mjl->mil", sub.u, block @ sub.v)
+        small = sub.u.T @ (block @ sub.v)
         # row-major reshape of the transpose == column-major vec
         a[lo:hi] = small.transpose(0, 2, 1).reshape(hi - lo, R * R)
     return VecSamples(a=a, y=dataset.y.copy())

@@ -1,10 +1,10 @@
 """Mixed linear regression via the method of moments and a robust tensor
 power method.
 
-Pipeline: split the samples in two halves, whiten with the rank-K part of
-the first half's second moment, form the second half's third moment directly
-in the whitened K-dimensional coordinates (never the d x d x d tensor, so
-memory is O(N d)), decompose it into K eigenpairs by deflated power
+Pipeline: split the samples in two halves by a mask, whiten with the rank-K
+part of the first half's second moment, form the second half's third moment
+in the whitened K-dimensional coordinates (never the d x d x d tensor, and
+no copy of either half), decompose it into K eigenpairs by deflated power
 iteration, and map them back to regression vectors and mixture weights.
 """
 
@@ -21,6 +21,7 @@ from .errors import (
     InvalidInputError,
     RankCollapseError,
 )
+from .synth import BLOCK
 
 WEIGHT_FLAG_THRESHOLD = 1.5
 
@@ -78,23 +79,20 @@ def _check_samples(samples: VecSamples) -> VecSamples:
     return VecSamples(a, y)
 
 
-def split_samples(samples: VecSamples, seed) -> Tuple[VecSamples, VecSamples]:
-    """Bernoulli(0.5) split into two disjoint halves.
+def split_mask(n: int, seed) -> np.ndarray:
+    """Bernoulli(0.5) split of n samples in two halves, as a boolean mask
+    that is True on the first half.
 
-    If either half comes out empty the split is retried with an incremented
+    If either half comes out empty the draw is retried with an incremented
     sub-seed, up to 8 times.
     """
-    samples = _check_samples(samples)
-    if samples.n < 2:
+    if n < 2:
         raise InvalidInputError("need at least 2 samples to split")
     for attempt in range(8):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
-        mask = rng.random(samples.n) < 0.5
-        if mask.any() and (~mask).any():
-            return (
-                VecSamples(samples.a[mask], samples.y[mask]),
-                VecSamples(samples.a[~mask], samples.y[~mask]),
-            )
+        mask = rng.random(n) < 0.5
+        if mask.any() and not mask.all():
+            return mask
     raise InvalidInputError("sample split degenerate after 8 attempts")
 
 
@@ -113,36 +111,44 @@ def third_moment_correction(m: np.ndarray, gram: Optional[np.ndarray] = None) ->
     )
 
 
-def third_moment(samples: VecSamples, m1: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _third_moment(a: np.ndarray, cubes: np.ndarray, m1, w, n: int) -> np.ndarray:
     """Corrected third moment contracted by `w` (d x K) along all three modes:
-    ``sum_i y_i^3 b_i x b_i x b_i / (6 n) - third_moment_correction(w^T m1,
-    w^T w)`` with ``b_i = w^T a_i``, from an (n, K^2) array. ``w = I`` gives
-    the full d x d x d moment."""
-    samples = _check_samples(samples)
-    w = core.as_matrix(w, "whitening matrix")
-    if w.shape[0] != samples.dim:
-        raise InvalidInputError(f"map shape {w.shape} mismatches sample dim {samples.dim}")
+    ``sum_i cubes_i b_i x b_i x b_i / (6 n) - third_moment_correction(w^T m1,
+    w^T w)`` with ``b_i = w^T a_i``, summed over `BLOCK`-row chunks of `a`.
+    ``cubes = y**3`` and ``w = I`` give the full d x d x d moment."""
     K = w.shape[1]
-    b = samples.a @ w
-    outer = (b[:, :, None] * b[:, None, :]).reshape(samples.n, K * K)
-    raw = ((b * samples.y[:, None] ** 3).T @ outer).reshape(K, K, K) / (6.0 * samples.n)
-    return raw - third_moment_correction(w.T @ m1, w.T @ w)
+    raw = np.zeros((K, K * K))
+    for lo in range(0, cubes.size, BLOCK):
+        b = a[lo : lo + BLOCK] @ w
+        outer = (b[:, :, None] * b[:, None, :]).reshape(len(b), K * K)
+        raw += (b * cubes[lo : lo + BLOCK, None]).T @ outer
+    return raw.reshape(K, K, K) / (6.0 * n) - third_moment_correction(w.T @ m1, w.T @ w)
 
 
-def moments(set1: VecSamples, set2: VecSamples, K: int) -> MomentSet:
-    """Moment estimates; `set1` feeds the even moments (m0, m2) and `set2`
-    the odd ones (m1 and the third moment), mirroring the sample split. The
-    third moment comes whitened by the rank-K map of m2."""
-    set1, set2 = _check_samples(set1), _check_samples(set2)
-    if set1.dim != set2.dim:
-        raise InvalidInputError("sample halves have different dimensions")
-    y1sq = set1.y**2
-    m0 = float(np.mean(y1sq))
-    m1 = (set2.y**3 @ set2.a) / (6.0 * set2.n)
-    m2 = (set1.a * y1sq[:, None]).T @ set1.a / (2.0 * set1.n) - 0.5 * m0 * np.eye(set1.dim)
+def moments(samples: VecSamples, mask: np.ndarray, K: int) -> MomentSet:
+    """Moment estimates from one sample array split by a boolean `mask` (see
+    `split_mask`): its True samples feed the even moments (m0, m2), the rest
+    the odd ones (m1 and the third moment, whitened by the rank-K map of m2).
+    Each sum zero-weights the samples outside its half instead of copying."""
+    samples = _check_samples(samples)
+    mask = np.asarray(mask)
+    n1 = int(np.count_nonzero(mask))
+    n2 = samples.n - n1
+    if mask.dtype != bool or mask.shape != (samples.n,) or not 0 < n1 < samples.n:
+        raise InvalidInputError(f"need a ({samples.n},) boolean mask splitting the samples in two")
+    a, y = samples
+    y1 = np.where(mask, y, 0.0)
+    cubes = np.where(mask, 0.0, y**3)
+    m0 = float(y1 @ y1) / n1
+    m1 = (cubes @ a) / (6.0 * n2)
+    m2 = np.zeros((samples.dim, samples.dim))
+    for lo in range(0, samples.n, BLOCK):
+        scaled = a[lo : lo + BLOCK] * y1[lo : lo + BLOCK, None]
+        m2 += scaled.T @ scaled
+    m2 = m2 / (2.0 * n1) - 0.5 * m0 * np.eye(samples.dim)
     whitening = whiten(m2, K)
     return MomentSet(m0=m0, m1=m1, m2=m2, whitening=whitening,
-                     t3=third_moment(set2, m1, whitening.w))
+                     t3=_third_moment(a, cubes, m1, whitening.w, n2))
 
 
 def whiten(m2: np.ndarray, K: int) -> Whitening:
@@ -161,6 +167,25 @@ def whiten(m2: np.ndarray, K: int) -> Whitening:
     return Whitening(w=res.u[:, :K] / np.sqrt(res.s[:K]), ratio=ratio)
 
 
+def _images(tmat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``t3(I, u, u)`` for each row of `u`, one GEMM with ``tmat = t3.reshape(d, d*d)``."""
+    return (u[:, :, None] * u[:, None, :]).reshape(len(u), -1) @ tmat.T
+
+
+def _power_round(tmat: np.ndarray, u: np.ndarray, iters: int) -> Tuple[np.ndarray, np.ndarray]:
+    """`iters` steps of ``u <- normalize(t3(I, u, u))`` on every row of `u` (unit
+    starts, updated in place) at once; a restart stops for good at an image norm
+    below 1e-300. Returns each eigenvalue and vector, signed so the value >= 0."""
+    live = np.ones(len(u), dtype=bool)
+    for _ in range(iters):
+        mapped = _images(tmat, u)
+        norm = np.linalg.norm(mapped, axis=1)
+        live &= norm >= 1e-300
+        u[live] = mapped[live] / norm[live, None]
+    lams = np.einsum("rd,rd->r", _images(tmat, u), u)
+    return np.abs(lams), u * np.where(lams < 0.0, -1.0, 1.0)[:, None]
+
+
 def robust_tensor_power(
     t3: np.ndarray,
     K: int,
@@ -171,10 +196,10 @@ def robust_tensor_power(
     """Deflated power iteration extracting K eigenpairs of a symmetric
     third-order tensor.
 
-    Each round runs `restarts` random unit starts for `iters` iterations of
-    ``u <- normalize(t3(I, u, u))``, keeps the candidate with the largest
-    value (ties to the earliest restart), flips the sign so the eigenvalue
-    is positive, and deflates. Pairs come back in extraction order.
+    Each round runs `restarts` random unit starts, drawn as one
+    ``(restarts, d)`` block, for `iters` iterations (:func:`_power_round`),
+    keeps the candidate with the largest value (ties to the earliest
+    restart), and deflates. Pairs come back in extraction order.
     """
     if restarts < 1 or iters < 1:
         raise InvalidInputError("restarts and iters must be >= 1")
@@ -183,28 +208,17 @@ def robust_tensor_power(
     rng = np.random.default_rng(seed)
     pairs: List[Tuple[float, np.ndarray]] = []
     for _ in range(K):
-        tmat = t3.reshape(d, d * d)
-        best_lam, best_u = -np.inf, None
-        for _ in range(restarts):
-            u = rng.standard_normal(d)
-            u /= np.linalg.norm(u)
-            for _ in range(iters):
-                mapped = tmat @ np.outer(u, u).ravel()
-                norm = np.linalg.norm(mapped)
-                if norm < 1e-300:
-                    break
-                u = mapped / norm
-            lam = float((tmat @ np.outer(u, u).ravel()) @ u)
-            if lam < 0.0:
-                lam, u = -lam, -u
-            if lam > best_lam:
-                best_lam, best_u = lam, u
-        if best_u is None or best_lam < 1e-12:
+        starts = rng.standard_normal((restarts, d))
+        starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+        lams, us = _power_round(t3.reshape(d, d * d), starts, iters)
+        best = int(np.argmax(lams))
+        if not lams[best] >= 1e-12:
             raise RankCollapseError(
                 f"power method found no component after {len(pairs)} extractions"
             )
-        pairs.append((best_lam, best_u))
-        t3 -= best_lam * np.einsum("i,j,k->ijk", best_u, best_u, best_u)
+        lam, u = float(lams[best]), us[best]
+        pairs.append((lam, u))
+        t3 -= lam * np.einsum("i,j,k->ijk", u, u, u)
     return pairs
 
 
@@ -239,13 +253,12 @@ def solve_mlr(
     restarts: Optional[int] = None,
     iters: int = 100,
 ) -> MlrEstimate:
-    """Full mixed-linear-regression solve on one batch of samples."""
-    samples = _check_samples(samples)
+    """Full mixed-linear-regression solve on one batch of samples. The
+    samples are checked once, by :func:`moments`."""
     if K < 1:
         raise InvalidInputError("K must be >= 1")
     restarts = 10 + 2 * K if restarts is None else restarts
     split_seed, power_seed = np.random.SeedSequence(entropy=seed).generate_state(2, np.uint64)
-    half1, half2 = split_samples(samples, int(split_seed))
-    mom = moments(half1, half2, K)
+    mom = moments(samples, split_mask(np.size(samples.y), int(split_seed)), K)
     pairs = robust_tensor_power(mom.t3, K, restarts=restarts, iters=iters, seed=int(power_seed))
     return unwhiten(pairs, mom.whitening)

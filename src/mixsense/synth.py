@@ -231,16 +231,19 @@ class Dataset:
     def _read(self, key, end: int, needed=None) -> np.ndarray:
         """Design rows selected by `key`, a slice or an index array whose
         indices all lie below `end`. Rows of the stored prefix come from
-        `designs_flat` (a view for a slice, one gather for an array); the
-        rest are regenerated from `seed`, or read as zeros where `needed`
-        (a boolean mask over the samples) excludes them."""
+        `designs_flat` (a view or a slice copy for a slice, one gather for
+        an array); the rest are regenerated from `seed`, or read as zeros
+        where `needed` (a boolean mask over the samples) excludes them."""
         if end <= self.stored_rows:
             return self.designs_flat[key]
         idx = np.arange(self.N)[key]
         stored = idx < self.stored_rows
         regen = ~stored if needed is None else ~stored & needed[idx]
         out = np.zeros((idx.size, self.n1 * self.n2))
-        out[stored] = self.designs_flat[idx[stored]]
+        if isinstance(key, slice):  # a block: its stored rows are a prefix
+            out[: max(self.stored_rows - key.start, 0)] = self.designs_flat[key]
+        else:
+            out[stored] = self.designs_flat[idx[stored]]
         _draw_rows(self.seed, idx[regen], out, np.flatnonzero(regen))
         return out
 

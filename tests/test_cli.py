@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from mixsense import cli
-from mixsense.errors import ConfigError, MixsenseError
+from mixsense import cli, scaledtgd
+from mixsense.errors import ConfigError, MixsenseError, PreconditionerSingularError
 
 
 def tiny_config(**overrides):
@@ -128,6 +128,38 @@ class TestRunCommand:
         assert len(rows) == 1 + 1 and rows[1][0] == "0"  # header + trial 0's component
         report = json.loads((out / "report.json").read_text())
         assert [t["seed"] for t in report["trials"]] == [0]
+
+    def test_failed_trial_keeps_partial_trace(self, tmp_path, monkeypatch):
+        real_run_trial, real_solve = cli._run_trial, scaledtgd._gram_solve_factor
+        state = {"trial": None, "calls": 0}
+
+        def run_trial(cfg, sigma, trial, *args, **kwargs):
+            state["trial"] = trial
+            return real_run_trial(cfg, sigma, trial, *args, **kwargs)
+
+        def solve(f):
+            # two calls per update: trial 2's fifth is the first of iteration 2
+            if state["trial"] == 2:
+                state["calls"] += 1
+                if state["calls"] == 5:
+                    raise PreconditionerSingularError("forced")
+            return real_solve(f)
+
+        monkeypatch.setattr(cli, "_run_trial", run_trial)
+        monkeypatch.setattr(scaledtgd, "_gram_solve_factor", solve)
+        path = write_config(tmp_path, tiny_config(trials=3))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert [t["seed"] for t in report["trials"]] == [0, 1000]
+        failed = report["failed_trial"]
+        assert failed["seed"] == 2000 and failed["stage"] == "stage3"
+        assert "forced" in failed["message"]
+        trace = failed["trace"]
+        assert trace["stop_reason"] == "singular_preconditioner"
+        assert trace["iters"] == [0, 1, 2]
+        assert all(err is not None for err in trace["rel_errors"])
+        assert len(read_csv(out / "summary.csv")) == 1 + 2
 
     def test_negative_tolerance_exits_2(self, tmp_path):
         path = write_config(tmp_path, tiny_config(pipeline={"t0": 10, "early_stop_tol": -1.0}))

@@ -48,6 +48,24 @@ class TestCompressSamples:
         cov = out.a.T @ out.a / out.n
         assert np.abs(cov - np.eye(4)).max() < 0.05
 
+    def test_matches_einsum_oracle(self):
+        # n1 != n2, and N one block plus 5 rows: all stored, the prefix ending
+        # inside the first block, and all streamed give the same bits
+        n1, n2, N = 6, 5, synth.BLOCK + 5
+        gt = synth.make_ground_truth(n1, n2, [2], [1.0], [[1.0, 0.5]], seed=4)
+        u = synth.random_orthonormal(n1, 3, seed=1)
+        v = synth.random_orthonormal(n2, 3, seed=2)
+        outs = []
+        for stored in (N, 600, 0):
+            ds = synth.sample_dataset(gt, N=N, sigma=0.0, seed=8, stored_budget=stored * n1 * n2)
+            assert ds.stored_rows == stored
+            outs.append(ini.compress_samples(ds, subspace(u, v)).a)
+        designs = ds.design_rows(np.arange(N)).reshape(N, n1, n2)
+        small = np.einsum("ji,mjk,kl->mil", u, designs, v)
+        expected = small.transpose(0, 2, 1).reshape(N, 9)  # column-major vec
+        assert np.abs(outs[0] - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert all((out == outs[0]).all() for out in outs[1:])
+
     def test_shape_mismatch(self, rng):
         ds = manual_dataset(rng.standard_normal((2, 3, 3)), np.zeros(2))
         with pytest.raises(InvalidInputError):
@@ -144,6 +162,15 @@ class TestInitializeAll:
             res = ini.initialize_all(ds, sub, ranks=[1], seed=seed)
             hits_est += core.rel_fro_error(res.factors[0].product(), gt.matrix(0)) <= 0.2
         assert hits_oracle >= 9 and hits_est >= 9
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_designs_rejected(self, rng, bad):
+        designs = rng.standard_normal((20, 3, 3))
+        designs[4, 1, 2] = bad
+        ds = manual_dataset(designs, rng.standard_normal(20))
+        with pytest.raises(InvalidInputError):
+            ini.initialize_all(ds, subspace(np.eye(3), np.eye(3)), ranks=[1], seed=0)
 
     def test_extraction_order_matches_mlr(self, rng):
         gt = synth.make_ground_truth(6, 6, [1, 1], [0.5, 0.5], [[1.0], [1.0]], seed=3)

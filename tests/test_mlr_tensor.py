@@ -7,12 +7,59 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mixsense import mlr_tensor as mt
+from mixsense.synth import BLOCK
 from mixsense.errors import (
     DegenerateMomentError,
     DegenerateWhiteningError,
     InvalidInputError,
     RankCollapseError,
 )
+
+
+def third_moment(samples, m1, w):
+    """Corrected third moment of all the given samples, contracted by w."""
+    return mt._third_moment(samples.a, samples.y**3, m1, w, samples.n)
+
+
+def split_oracle(n, seed):
+    """The documented split: the first of 8 sub-seeded Bernoulli draws with
+    both halves non-empty."""
+    for attempt in range(8):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
+        mask = rng.random(n) < 0.5
+        if mask.any() and (~mask).any():
+            return mask
+
+
+def restart_loop(tmat, u, iters):
+    """One power-method restart, one matrix-vector product per step."""
+    for _ in range(iters):
+        mapped = tmat @ np.outer(u, u).ravel()
+        norm = np.linalg.norm(mapped)
+        if norm < 1e-300:
+            break
+        u = mapped / norm
+    lam = float((tmat @ np.outer(u, u).ravel()) @ u)
+    return (-lam, -u) if lam < 0.0 else (lam, u)
+
+
+def power_loop(t3, K, restarts, iters, seed):
+    """Deflated power method with one restart at a time, ties to the
+    earliest restart: the reference for the batched restarts."""
+    t3 = np.array(t3, dtype=float)
+    d = t3.shape[0]
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(K):
+        best_lam, best_u = -np.inf, None
+        for _ in range(restarts):
+            u = rng.standard_normal(d)
+            lam, u = restart_loop(t3.reshape(d, d * d), u / np.linalg.norm(u), iters)
+            if lam > best_lam:
+                best_lam, best_u = lam, u
+        pairs.append((best_lam, best_u))
+        t3 -= best_lam * np.einsum("i,j,k->ijk", best_u, best_u, best_u)
+    return pairs
 
 
 def rank1_tensor(u, scale=1.0):
@@ -45,36 +92,35 @@ def triple_loop_contract(t3, w):
 
 class TestSplitSamples:
     def test_two_samples(self):
-        samples = mt.VecSamples(np.eye(2), np.array([1.0, 2.0]))
-        s1, s2 = mt.split_samples(samples, seed=0)
-        assert s1.n >= 1 and s2.n >= 1 and s1.n + s2.n == 2
+        for seed in range(20):
+            mask = mt.split_mask(2, seed=seed)
+            assert mask.shape == (2,) and mask.any() and not mask.all()
+            # same sub-seeds and retries as the documented draw
+            assert (mask == split_oracle(2, seed)).all()
 
     def test_disjoint_cover(self, rng):
         a = rng.standard_normal((40, 3))
         y = rng.standard_normal(40)
-        s1, s2 = mt.split_samples(mt.VecSamples(a, y), seed=5)
-        merged = np.sort(np.concatenate([s1.y, s2.y]))
+        mask = mt.split_mask(40, seed=5)
+        merged = np.sort(np.concatenate([y[mask], y[~mask]]))
         assert (merged == np.sort(y)).all()
-        assert s1.n + s2.n == 40
+        rows = np.concatenate([a[mask], a[~mask]])
+        assert (np.sort(rows, axis=0) == np.sort(a, axis=0)).all()
+        assert (mask == split_oracle(40, 5)).all()
 
-    def test_deterministic(self, rng):
-        samples = mt.VecSamples(rng.standard_normal((30, 2)), rng.standard_normal(30))
-        a1, b1 = mt.split_samples(samples, seed=9)
-        a2, b2 = mt.split_samples(samples, seed=9)
-        assert (a1.a == a2.a).all() and (b1.y == b2.y).all()
+    def test_deterministic(self):
+        assert (mt.split_mask(30, seed=9) == mt.split_mask(30, seed=9)).all()
 
     def test_binomial_concentration(self):
-        a = np.zeros((10_000, 1))
-        y = np.zeros(10_000)
         hits = 0
         for seed in range(30):
-            s1, _ = mt.split_samples(mt.VecSamples(a, y), seed=seed)
-            hits += abs(s1.n - 5000) <= 300
+            mask = mt.split_mask(10_000, seed=seed)
+            hits += abs(int(mask.sum()) - 5000) <= 300
         assert hits == 30
 
     def test_too_few(self):
         with pytest.raises(InvalidInputError):
-            mt.split_samples(mt.VecSamples(np.ones((1, 1)), np.ones(1)), seed=0)
+            mt.split_mask(1, seed=0)
 
 
 class TestThirdMomentCorrection:
@@ -109,12 +155,14 @@ class TestThirdMomentCorrection:
 
 class TestMoments:
     def test_hand_example(self):
-        one = mt.VecSamples(np.array([[1.0, 0.0]]), np.array([1.0]))
-        mom = mt.moments(one, one, K=1)
+        # one sample per half, both with a = e1 and y = 1
+        two = mt.VecSamples(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 1.0]))
+        mom = mt.moments(two, np.array([True, False]), K=1)
         assert mom.m0 == 1.0
         np.testing.assert_allclose(mom.m1, [1 / 6, 0.0])
         np.testing.assert_allclose(mom.m2, np.diag([0.0, -0.5]))
-        m3 = mt.third_moment(one, mom.m1, np.eye(2))
+        one = mt.VecSamples(two.a[1:], two.y[1:])
+        m3 = third_moment(one, mom.m1, np.eye(2))
         # raw third moment is e1 x e1 x e1 / 6; correction removes more
         assert abs(m3[0, 0, 0] - (-1 / 3)) < 1e-15
         expected = rank1_tensor(np.array([1.0, 0.0]), 1 / 6) - mt.third_moment_correction(
@@ -127,13 +175,13 @@ class TestMoments:
         zero = mt.VecSamples(a, np.zeros(10))
         # a zero second moment has nothing to whiten
         with pytest.raises(RankCollapseError):
-            mt.moments(zero, zero, K=1)
-        assert (mt.third_moment(zero, np.zeros(2), np.eye(2)) == 0).all()
+            mt.moments(zero, mt.split_mask(10, seed=0), K=1)
+        assert (third_moment(zero, np.zeros(2), np.eye(2)) == 0).all()
 
     def test_symmetry_of_m3(self, rng):
         samples = mt.VecSamples(rng.standard_normal((50, 3)), rng.standard_normal(50))
-        mom = mt.moments(samples, samples, K=1)
-        m3 = mt.third_moment(samples, mom.m1, np.eye(3))
+        mom = mt.moments(samples, mt.split_mask(50, seed=0), K=1)
+        m3 = third_moment(samples, mom.m1, np.eye(3))
         for perm in itertools.permutations(range(3)):
             assert np.abs(m3 - np.transpose(m3, perm)).max() <= 1e-10 * max(
                 1.0, np.abs(m3).max()
@@ -147,29 +195,52 @@ class TestMoments:
             g = np.random.default_rng(seed)
             a = g.standard_normal((100_000, 2))
             samples = mt.VecSamples(a, a @ beta)
-            s1, s2 = mt.split_samples(samples, seed=seed)
-            mom = mt.moments(s1, s2, K=1)
-            m3 = mt.third_moment(s2, mom.m1, np.eye(2))
+            mask = mt.split_mask(samples.n, seed=seed)
+            mom = mt.moments(samples, mask, K=1)
+            m3 = third_moment(mt.VecSamples(a[~mask], samples.y[~mask]), mom.m1, np.eye(2))
             hits_m2 += np.linalg.norm(mom.m2 - np.outer(beta, beta), 2) <= 0.15 * 4.0
             hits_m3 += abs(m3[0, 0, 0] - 8.0) <= 0.8
         assert hits_m2 >= 9 and hits_m3 >= 9
 
     def test_dim_mismatch(self):
+        # one mask entry per sample
         with pytest.raises(InvalidInputError):
-            mt.moments(
-                mt.VecSamples(np.ones((2, 2)), np.ones(2)),
-                mt.VecSamples(np.ones((2, 3)), np.ones(2)),
-                K=1,
-            )
+            mt.moments(mt.VecSamples(np.ones((2, 2)), np.ones(2)), np.array([True, False, True]),
+                       K=1)
+
+    @pytest.mark.parametrize("mask", [[1, 0, 1, 0], [True] * 4, [False] * 4])
+    def test_mask_must_split(self, mask):
+        with pytest.raises(InvalidInputError):
+            mt.moments(mt.VecSamples(np.eye(4), np.ones(4)), np.array(mask), K=1)
 
     def test_third_moment_is_whitened(self, rng):
-        set1 = mt.VecSamples(rng.standard_normal((80, 4)), rng.standard_normal(80))
-        set2 = mt.VecSamples(rng.standard_normal((60, 4)), rng.standard_normal(60))
-        mom = mt.moments(set1, set2, K=2)
+        a1, y1 = rng.standard_normal((80, 4)), rng.standard_normal(80)
+        a2, y2 = rng.standard_normal((60, 4)), rng.standard_normal(60)
+        samples = mt.VecSamples(np.vstack([a1, a2]), np.concatenate([y1, y2]))
+        mask = np.arange(140) < 80
+        mom = mt.moments(samples, mask, K=2)
         w = mom.whitening.w
         assert w.shape == (4, 2) and mom.t3.shape == (2, 2, 2)
         assert (w == mt.whiten(mom.m2, K=2).w).all()
-        assert (mom.t3 == mt.third_moment(set2, mom.m1, w)).all()
+        cubes = np.where(mask, 0.0, samples.y**3)
+        assert (mom.t3 == mt._third_moment(samples.a, cubes, mom.m1, w, 60)).all()
+
+    def test_mask_matches_copied_halves(self, rng):
+        # over several BLOCK-row chunks, the masked sums equal the moments of
+        # the two halves copied out, from their definitions
+        N, d, K = 2 * BLOCK + 37, 5, 2
+        samples = mt.VecSamples(rng.standard_normal((N, d)), rng.standard_normal(N))
+        mask = mt.split_mask(N, seed=3)
+        mom = mt.moments(samples, mask, K)
+        a1, y1 = samples.a[mask], samples.y[mask]
+        a2, y2 = samples.a[~mask], samples.y[~mask]
+        m0 = np.mean(y1**2)
+        m1 = y2**3 @ a2 / (6.0 * y2.size)
+        m2 = (a1 * y1[:, None] ** 2).T @ a1 / (2.0 * y1.size) - 0.5 * m0 * np.eye(d)
+        t3 = triple_loop_contract(corrected_moment_oracle(mt.VecSamples(a2, y2), m1),
+                                  mom.whitening.w)
+        for got, want in ((mom.m0, m0), (mom.m1, m1), (mom.m2, m2), (mom.t3, t3)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestWhiten:
@@ -207,18 +278,18 @@ class TestWhiten:
 
 
 class TestWhitenedTensor:
-    """`third_moment` forms the whitened tensor straight from the samples."""
+    """`_third_moment` forms the whitened tensor straight from the samples."""
 
     def test_identity_map(self, rng):
         samples = mt.VecSamples(rng.standard_normal((50, 4)), rng.standard_normal(50))
         m1 = rng.standard_normal(4)
         expected = corrected_moment_oracle(samples, m1)
-        got = mt.third_moment(samples, m1, np.eye(4))
+        got = third_moment(samples, m1, np.eye(4))
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_rank_one_scalar(self):
         one = mt.VecSamples(np.array([[1.0, 0.0]]), np.array([1.0]))
-        out = mt.third_moment(one, np.zeros(2), np.array([[0.5], [0.0]]))
+        out = third_moment(one, np.zeros(2), np.array([[0.5], [0.0]]))
         assert out.shape == (1, 1, 1)
         assert abs(out[0, 0, 0] - 0.125 / 6) < 1e-15
 
@@ -229,15 +300,9 @@ class TestWhitenedTensor:
             m1 = rng.standard_normal(d)
             w = rng.standard_normal((d, K))
             expected = triple_loop_contract(corrected_moment_oracle(samples, m1), w)
-            got = mt.third_moment(samples, m1, w)
+            got = third_moment(samples, m1, w)
             assert got.shape == (K, K, K)
             assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            mt.third_moment(mt.VecSamples(np.ones((2, 2)), np.ones(2)), np.ones(2),
-                            np.zeros((3, 1)))
-
 
 class TestRobustTensorPower:
     def test_exact_rank_one(self):
@@ -273,6 +338,37 @@ class TestRobustTensorPower:
     def test_rank_collapse(self):
         with pytest.raises(RankCollapseError):
             mt.robust_tensor_power(np.zeros((2, 2, 2)), K=1, restarts=4, iters=10, seed=0)
+
+    def test_matches_per_restart_loop(self, rng):
+        # random symmetric tensors: orthogonal components plus symmetrized noise
+        for d, K in ((3, 3), (4, 2), (5, 4)):
+            q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            noise = rng.standard_normal((d, d, d))
+            noise = sum(np.transpose(noise, p) for p in itertools.permutations(range(3))) / 6
+            t3 = sum(rank1_tensor(q[:, i], 1.0 + i) for i in range(d)) + 0.05 * noise
+            got = mt.robust_tensor_power(t3, K, restarts=10 + 2 * K, iters=100, seed=d)
+            want = power_loop(t3, K, restarts=10 + 2 * K, iters=100, seed=d)
+            for (lam, u), (lam_ref, u_ref) in zip(got, want):
+                assert abs(lam - lam_ref) <= 1e-12 * lam_ref
+                assert np.abs(u - u_ref).max() <= 1e-12
+
+    def test_stopped_restarts_match_loop(self, rng):
+        # t3 = 2 e0^(x3) plus the symmetric e1 e1 e2 term: t3(I, u, u) is 0 at
+        # u = e2, so the start e2 stops at step 1 and the start e1 (mapped to
+        # e2) at step 2, while the other starts keep iterating
+        t3 = rank1_tensor(np.array([1.0, 0.0, 0.0]), 2.0)
+        for i, j, k in ((1, 1, 2), (1, 2, 1), (2, 1, 1)):
+            t3[i, j, k] = 1.0
+        starts = np.vstack([np.eye(3)[[2, 1]], [[0.6, 0.8, 0.0]],
+                            rng.standard_normal((5, 3))])
+        starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+        lams, us = mt._power_round(t3.reshape(3, 9), starts.copy(), iters=60)
+        assert (us[:2] == np.eye(3)[[2, 2]]).all() and (lams[:2] == 0.0).all()
+        assert (lams[2:] > 0.0).all()
+        for lam, u, start in zip(lams, us, starts):
+            lam_ref, u_ref = restart_loop(t3.reshape(3, 9), start, 60)
+            assert abs(lam - lam_ref) <= 1e-12 * max(lam_ref, 1.0)
+            assert np.abs(u - u_ref).max() <= 1e-12
 
     def test_deterministic(self):
         t3 = rank1_tensor(np.array([0.6, 0.8]), 2.0)
@@ -368,6 +464,35 @@ class TestSolveMlr:
         doubled = mt.solve_mlr(mt.VecSamples(a, 2.0 * y), K=1, seed=7)
         np.testing.assert_allclose(doubled.betas, 2.0 * base.betas, rtol=1e-8)
         np.testing.assert_allclose(doubled.weights, base.weights, rtol=1e-8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["a", "y"])
+    def test_nonfinite_samples_rejected(self, rng, field, bad):
+        a = rng.standard_normal((200, 3))
+        y = a @ np.array([1.0, -1.0, 0.5])
+        (a if field == "a" else y)[7] = bad
+        samples = mt.VecSamples(a, y)
+        with pytest.raises(InvalidInputError):
+            mt.solve_mlr(samples, K=1, seed=0)
+        with pytest.raises(InvalidInputError):
+            mt.moments(samples, mt.split_mask(200, seed=0), K=1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_memory_copies_no_half(self, rng):
+        # the moments sum over the one sample array: copying the two halves
+        # and a weighted copy of one would take about 1.5x the input
+        N, d, K = 40_000, 36, 3
+        a = rng.standard_normal((N, d))
+        betas = rng.standard_normal((K, d))
+        y = np.einsum("nd,nd->n", a, betas[rng.integers(0, K, N)])
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            mt.solve_mlr(mt.VecSamples(a, y), K=K, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * (a.nbytes + y.nbytes)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_memory_stays_linear_in_dim(self, rng):
