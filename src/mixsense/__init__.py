@@ -13,7 +13,6 @@ from .core import (
     rel_fro_error,
     subspace_distance,
     svd,
-    truncated_gaussian_second_moment,
     unvec,
     vec,
 )
@@ -61,9 +60,6 @@ from .scaledtgd import (
     TgdConfig,
     TgdRun,
     TgdTrace,
-    residuals,
-    run_scaledtgd,
-    scaledtgd_step,
     truncation_set,
 )
 from .spectral import SubspaceEstimate, data_matrix, estimate_rank, subspace_estimate

@@ -15,6 +15,7 @@ before exiting).
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from dataclasses import asdict, dataclass, field
@@ -24,7 +25,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, MixsenseError
-from .pipeline import PipelineConfig, RecoveryReport, run_pipeline
+from .pipeline import PipelineConfig, run_pipeline
 from .synth import make_ground_truth, sample_dataset
 
 # Trial t of an experiment uses master seed `seed + TRIAL_STRIDE * t`.
@@ -89,18 +90,23 @@ def parse_config(raw: dict) -> ExperimentConfig:
         cfg = ExperimentConfig(**raw)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.K != len(cfg.ranks):
-        raise ConfigError(f"K={cfg.K} but {len(cfg.ranks)} ranks given")
-    if cfg.trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if cfg.proportions is not None and len(cfg.proportions) != cfg.K:
-        raise ConfigError("proportions length must equal K")
-    if cfg.spectra is not None and len(cfg.spectra) != cfg.K:
-        raise ConfigError("spectra length must equal K")
+    if not isinstance(cfg.ranks, list) or not cfg.ranks or cfg.K != len(cfg.ranks):
+        raise ConfigError(f"need one rank per component, got K={cfg.K!r}, ranks={cfg.ranks!r}")
+    if not isinstance(cfg.trials, int) or cfg.trials < 1:
+        raise ConfigError(f"trials must be an integer >= 1, got {cfg.trials!r}")
+    sigmas = cfg.sigma if isinstance(cfg.sigma, list) else [cfg.sigma]
+    if not all(isinstance(s, (int, float)) and 0.0 <= s < math.inf for s in sigmas):
+        raise ConfigError(f"sigma must be finite and >= 0, got {cfg.sigma!r}")
     if not isinstance(cfg.pipeline, dict):
         raise ConfigError("pipeline section must be an object")
-    cfg.resolved_n()
-    # fail fast on bad pipeline knobs
+    # fail fast on a bad planted mixture, sample size or pipeline knob
+    try:
+        make_ground_truth(cfg.n1, cfg.n2, cfg.ranks, cfg.resolved_proportions(),
+                          cfg.resolved_spectra(), cfg.seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot build the planted mixture: {exc}") from exc
+    if cfg.resolved_n() < cfg.K:
+        raise ConfigError(f"N must be at least K={cfg.K}, got {cfg.resolved_n()}")
     _pipeline_config(cfg, seed=cfg.seed)
     return cfg
 

@@ -9,14 +9,12 @@ matrix columns and ``unvec`` is its inverse.
 """
 
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .errors import InvalidInputError
-
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class SvdResult(NamedTuple):
@@ -42,17 +40,16 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).reshape(-1, order="F")
 
 
-def unvec(v: np.ndarray, rows: int, cols: Optional[int] = None) -> np.ndarray:
-    """Inverse of :func:`vec`; `cols` defaults to `rows` (square case)."""
-    cols = rows if cols is None else cols
+def unvec(v: np.ndarray, rows: int) -> np.ndarray:
+    """Inverse of :func:`vec` for a square `rows` x `rows` matrix."""
     v = np.asarray(v, dtype=np.float64)
-    if v.size != rows * cols:
-        raise InvalidInputError(f"cannot reshape length {v.size} into {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
+    if v.size != rows * rows:
+        raise InvalidInputError(f"cannot reshape length {v.size} into {rows}x{rows}")
+    return v.reshape((rows, rows), order="F")
 
 
-def svd(m, k: Optional[int] = None) -> SvdResult:
-    """Deterministic dense SVD, optionally truncated to the top `k` triplets.
+def svd(m) -> SvdResult:
+    """Deterministic compact dense SVD.
 
     Sign convention: each left singular vector is flipped so that its
     largest-magnitude entry is positive (the right vector follows so the
@@ -60,15 +57,11 @@ def svd(m, k: Optional[int] = None) -> SvdResult:
     LAPACK's stable ordering for ties.
     """
     m = as_matrix(m)
-    if k is not None and not 1 <= k <= min(m.shape):
-        raise InvalidInputError(f"truncation rank {k} out of range for shape {m.shape}")
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
         # gesdd occasionally fails to converge; gesvd is slower but sturdier
         u, s, vt = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
-    if k is not None:
-        u, s, vt = u[:, :k], s[:k], vt[:k]
     anchors = np.argmax(np.abs(u), axis=0)
     signs = np.where(u[anchors, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
     return SvdResult(u * signs, s, (vt * signs[:, None]).T)
@@ -92,22 +85,6 @@ def finite_quantile(values: Sequence[float], alpha: float) -> float:
     while j < m and j / m < alpha:
         j += 1
     return float(np.partition(vals, j - 1)[j - 1])
-
-
-def std_normal_pdf(x: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-
-
-def truncated_gaussian_second_moment(x: float) -> float:
-    """Integral of t^2 phi(t) for t in [-x, x], phi the standard normal pdf.
-
-    Closed form ``erf(x / sqrt(2)) - 2 x phi(x)``; nondecreasing in x with
-    limit 1 as x grows.
-    """
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise InvalidInputError(f"argument must be finite and >= 0, got {x}")
-    return math.erf(x / math.sqrt(2.0)) - 2.0 * x * std_normal_pdf(x)
 
 
 def rel_fro_error(m, mstar) -> float:

@@ -31,10 +31,6 @@ class FactorPair:
         if not (np.isfinite(self.l).all() and np.isfinite(self.r).all()):
             raise InvalidInputError("factors contain non-finite entries")
 
-    @property
-    def rank(self) -> int:
-        return int(self.l.shape[1])
-
     def product(self) -> np.ndarray:
         return self.l @ self.r.T
 

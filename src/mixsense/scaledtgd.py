@@ -65,12 +65,6 @@ class TruncationSet(NamedTuple):
     tau: float
 
 
-class StepResult(NamedTuple):
-    factors: FactorPair
-    tau: float
-    kept: int
-
-
 class TgdRun(NamedTuple):
     final: FactorPair
     trace: TgdTrace
@@ -91,11 +85,6 @@ def _residual_pass(dataset: Dataset, factor_list: Sequence[FactorPair]) -> np.nd
                 np.matmul(sub, pvec, out=res[lo + s : lo + s + len(sub)])
     out -= dataset.y
     return out
-
-
-def residuals(dataset: Dataset, factors: FactorPair) -> np.ndarray:
-    """Signed residuals ``<A_i, l r^T> - y_i`` in sample order."""
-    return _residual_pass(dataset, [factors])[0]
 
 
 def truncation_set(abs_residuals: np.ndarray, alpha: float) -> TruncationSet:
@@ -133,6 +122,8 @@ def _gradient_pass(dataset: Dataset, weights, needed: np.ndarray) -> np.ndarray:
 
 
 def _update(factors: FactorPair, grad: np.ndarray, scale: float) -> FactorPair:
+    """Preconditioned step ``l - scale * G r (r^T r)^-1``,
+    ``r - scale * G^T l (l^T l)^-1`` for the gradient sum G."""
     inv_rr = _gram_solve_factor(factors.r)
     inv_ll = _gram_solve_factor(factors.l)
     l_next = factors.l - scale * (grad @ (factors.r @ inv_rr))
@@ -148,9 +139,12 @@ def refine_components(
 ) -> List[TgdRun]:
     """Iterate the truncated update of all components in lockstep, each until
     its own budget or early stop, with one residual pass and one gradient
-    pass over the designs per iteration. A component reads only its own
-    residuals and weights, so its result is bit-identical to its solo run.
-    Trace rows of component k log the error against `truths[k]`, if given.
+    pass over the designs per iteration. In each step (:func:`_update`) both
+    factors read the incoming iterate, the gradient sums over the truncation
+    set, and the normalization is 1/N, whatever the number of samples kept.
+    A component reads only its own residuals and weights, so its result is
+    bit-identical to its solo run. Trace rows of component k log the error
+    against `truths[k]`, if given.
     """
     K, N = len(inits), dataset.N
     truths = [None] * K if truths is None else list(truths)
@@ -189,28 +183,3 @@ def refine_components(
         t += 1
     return [TgdRun(final=f, trace=trace) for f, trace in zip(factors, traces)]
 
-
-def scaledtgd_step(dataset: Dataset, factors: FactorPair, eta: float, alpha: float) -> StepResult:
-    """One simultaneous preconditioned update of both factors.
-
-    Both updates read the incoming iterate, the gradient sum runs over the
-    truncation set, and the normalization is 1/N regardless of how many
-    samples were kept.
-    """
-    run = run_scaledtgd(dataset, factors, TgdConfig(eta=eta, alpha=alpha, t0=1))
-    return StepResult(factors=run.final, tau=run.trace.taus[0], kept=run.trace.kept_counts[0])
-
-
-def run_scaledtgd(
-    dataset: Dataset,
-    f0: FactorPair,
-    cfg: TgdConfig,
-    truth: Optional[np.ndarray] = None,
-) -> TgdRun:
-    """Iterate the truncated update for `cfg.t0` steps (or until the product
-    stops moving, when early stopping is enabled).
-
-    When `truth` is given, every trace row logs the relative Frobenius error
-    of the iterate against it.
-    """
-    return refine_components(dataset, [f0], [cfg], [truth])[0]

@@ -33,7 +33,6 @@ from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .core import as_matrix
 from .errors import InvalidInputError
 
 # Fixed block length for all chunked passes over a dataset. Consumers must
@@ -69,10 +68,6 @@ class GroundTruth:
     @property
     def K(self) -> int:
         return len(self.components)
-
-    @property
-    def ranks(self) -> List[int]:
-        return [c.r for c in self.components]
 
     @property
     def proportions(self) -> List[float]:
@@ -228,40 +223,25 @@ class Dataset:
     def stored_rows(self) -> int:
         return int(self.designs_flat.shape[0])
 
-    def _read(self, key, end: int, needed=None) -> np.ndarray:
-        """Design rows selected by `key`, a slice or an index array whose
-        indices all lie below `end`. Rows of the stored prefix come from
-        `designs_flat` (a view or a slice copy for a slice, one gather for
-        an array); the rest are regenerated from `seed`, or read as zeros
-        where `needed` (a boolean mask over the samples) excludes them."""
-        if end <= self.stored_rows:
-            return self.designs_flat[key]
-        idx = np.arange(self.N)[key]
-        stored = idx < self.stored_rows
-        regen = ~stored if needed is None else ~stored & needed[idx]
-        out = np.zeros((idx.size, self.n1 * self.n2))
-        if isinstance(key, slice):  # a block: its stored rows are a prefix
-            out[: max(self.stored_rows - key.start, 0)] = self.designs_flat[key]
-        else:
-            out[stored] = self.designs_flat[idx[stored]]
-        _draw_rows(self.seed, idx[regen], out, np.flatnonzero(regen))
-        return out
-
-    def design_rows(self, indices) -> np.ndarray:
-        """Row-major vectorized designs for the given sample indices."""
-        idx = np.asarray(indices, dtype=np.int64)
-        first, end = (idx.min(), idx.max() + 1) if idx.size else (0, 0)
-        if idx.ndim != 1 or first < 0 or end > self.N:
-            raise InvalidInputError(f"sample indices must be a 1-D array in [0, {self.N})")
-        return self._read(idx, end)
-
     def iter_design_blocks(self, needed=None) -> Iterator[Tuple[int, int, np.ndarray]]:
-        """Yield (lo, hi, rows) over fixed-size blocks in sample order. With
-        a boolean mask `needed` over the samples, unstored rows outside it
-        read as zeros instead of being regenerated."""
+        """Yield (lo, hi, rows) over fixed-size blocks in sample order. A
+        wholly stored block is a view of `designs_flat`; otherwise its stored
+        rows are copied and the rest regenerated from `seed`, except that
+        with a boolean mask `needed` over the samples, unstored rows outside
+        it read as zeros."""
         for lo in range(0, self.N, BLOCK):
             hi = min(lo + BLOCK, self.N)
-            yield lo, hi, self._read(slice(lo, hi), hi, needed)
+            if hi <= self.stored_rows:
+                yield lo, hi, self.designs_flat[lo:hi]
+                continue
+            rows = np.zeros((hi - lo, self.n1 * self.n2))
+            kept = max(self.stored_rows - lo, 0)
+            rows[:kept] = self.designs_flat[lo:hi]
+            at = np.arange(kept, hi - lo)
+            if needed is not None:
+                at = at[needed[lo + kept : hi]]
+            _draw_rows(self.seed, lo + at, rows, at)
+            yield lo, hi, rows
 
 
 # SeedSequence's constants (numpy/random/bit_generator.pyx): the entropy
@@ -393,9 +373,11 @@ def sample_dataset(
     vec_ms = [gt.matrix(k).ravel() for k in range(gt.K)]
     y = np.empty(N)
     designs = np.empty((min(N, stored_budget // nn), nn))
+    # blocks past the stored prefix are drawn into one reusable buffer
+    spare = np.empty((min(BLOCK, N), nn)) if len(designs) < N else None
     for lo in range(0, N, BLOCK):
         hi = min(lo + BLOCK, N)
-        block = np.empty((hi - lo, nn))
+        block = designs[lo:hi] if hi <= len(designs) else spare[: hi - lo]
         noise = _draw_rows(seed, np.arange(lo, hi), block, range(hi - lo))
         yb = np.empty(hi - lo)
         lab = labels[lo:hi]
@@ -407,8 +389,8 @@ def sample_dataset(
                 vals = block @ vec_ms[k]
                 yb[mask] = vals[mask]
         y[lo:hi] = yb + sigma * noise
-        kept = designs[lo:hi]
-        kept[:] = block[: len(kept)]
+        if hi > len(designs):
+            designs[lo:hi] = block[: max(len(designs) - lo, 0)]
     return Dataset(
         n1=gt.n1, n2=gt.n2, sigma=float(sigma), seed=int(seed),
         y=y, hidden_labels=labels, designs_flat=designs,

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import mixsense as mx
+from helpers import stacked_rows, truncated_gaussian_second_moment
 from mixsense import core, mlr_tensor as mt, pipeline as pl, scaledtgd as tgd, synth
 from mixsense.initialization import FactorPair
 
@@ -179,9 +180,9 @@ def check_w_function():
     for x in np.linspace(0.0, 3.0, 16):
         t = np.linspace(-x, x, 1_000_001)
         quad = np.trapezoid(t**2 * np.exp(-0.5 * t**2) / np.sqrt(2 * np.pi), t)
-        assert abs(core.truncated_gaussian_second_moment(x) - quad) <= 1e-9
+        assert abs(truncated_gaussian_second_moment(x) - quad) <= 1e-9
     xs = np.arange(0.01, 1.351, 0.01)
-    ws = np.array([core.truncated_gaussian_second_moment(x) for x in xs])
+    ws = np.array([truncated_gaussian_second_moment(x) for x in xs])
     for i in range(xs.size):
         for j in range(i, xs.size):
             assert ws[i] / ws[j] <= xs[i] ** 2 / xs[j] ** 2 + 1e-12
@@ -201,12 +202,15 @@ def check_reparameterization_invariance():
         l = g.standard_normal((n1, r))
         rr = g.standard_normal((n2, r))
         q = g.standard_normal((r, r)) + 3 * np.eye(r)
-        base = tgd.scaledtgd_step(ds, FactorPair(l, rr), eta=0.9, alpha=0.7)
-        rep = tgd.scaledtgd_step(
-            ds, FactorPair(l @ q, rr @ np.linalg.inv(q).T), eta=0.9, alpha=0.7
-        )
-        diff = np.linalg.norm(base.factors.product() - rep.factors.product())
-        assert diff <= 1e-10 * max(1.0, np.linalg.norm(base.factors.product()))
+        base = tgd.refine_components(
+            ds, [FactorPair(l, rr)], [tgd.TgdConfig(eta=0.9, alpha=0.7, t0=1)]
+        )[0]
+        rep = tgd.refine_components(
+            ds, [FactorPair(l @ q, rr @ np.linalg.inv(q).T)],
+            [tgd.TgdConfig(eta=0.9, alpha=0.7, t0=1)],
+        )[0]
+        diff = np.linalg.norm(base.final.product() - rep.final.product())
+        assert diff <= 1e-10 * max(1.0, np.linalg.norm(base.final.product()))
 
 
 def check_fixed_points_bit_exact():
@@ -219,8 +223,8 @@ def check_fixed_points_bit_exact():
         n1=4, n2=5, sigma=0.0, seed=0, y=y,
         hidden_labels=np.zeros(400, dtype=np.int64), designs_flat=designs,
     )
-    out = tgd.scaledtgd_step(ds, pair, eta=1.3, alpha=0.8)
-    assert (out.factors.l == pair.l).all() and (out.factors.r == pair.r).all()
+    out = tgd.refine_components(ds, [pair], [tgd.TgdConfig(eta=1.3, alpha=0.8, t0=1)])[0]
+    assert (out.final.l == pair.l).all() and (out.final.r == pair.r).all()
     # mixed variant: half the samples follow a different component
     other = g.standard_normal((4, 5))
     y_mixed = np.concatenate([y[:200], designs[200:] @ other.ravel()])
@@ -228,9 +232,9 @@ def check_fixed_points_bit_exact():
         n1=4, n2=5, sigma=0.0, seed=0, y=y_mixed,
         hidden_labels=np.repeat([0, 1], 200), designs_flat=designs,
     )
-    out = tgd.scaledtgd_step(ds_mixed, pair, eta=1.3, alpha=0.4)
-    assert out.tau == 0.0
-    assert (out.factors.l == pair.l).all() and (out.factors.r == pair.r).all()
+    out = tgd.refine_components(ds_mixed, [pair], [tgd.TgdConfig(eta=1.3, alpha=0.4, t0=1)])[0]
+    assert out.trace.taus[0] == 0.0
+    assert (out.final.l == pair.l).all() and (out.final.r == pair.r).all()
 
 
 def check_third_moment_symmetry():
@@ -281,7 +285,7 @@ def check_streamed_stored_equality():
     for budget in (0, 1500 * 36):
         other = synth.sample_dataset(gt, 2100, 0.25, seed=29, stored_budget=budget)
         assert (stored.y == other.y).all()
-        assert (stored.design_rows(idx) == other.design_rows(idx)).all()
+        assert (stacked_rows(stored, idx) == stacked_rows(other, idx)).all()
 
 
 def test_property_suite():
@@ -315,7 +319,7 @@ def spectral_init_run(seed, kappa, eta=0.7, n=30, r=2, mult=50, t0=300):
     sub = mx.subspace_estimate(mx.data_matrix(ds), r)
     root = np.sqrt(sub.singular_values[:r])
     f0 = FactorPair(sub.u * root, sub.v * root)
-    out = tgd.run_scaledtgd(ds, f0, tgd.TgdConfig(eta=eta, alpha=1.0, t0=t0), truth=m)
+    out = tgd.refine_components(ds, [f0], [tgd.TgdConfig(eta=eta, alpha=1.0, t0=t0)], [m])[0]
     hits = [t for t, e in enumerate(out.trace.rel_errors) if e is not None and e <= 1e-8]
     return hits[0] if hits else None
 

@@ -69,6 +69,20 @@ class TestConfigParsing:
             cli.parse_config(tiny_config(pipeline={"supplied_proportions": [0.0]}))
         with pytest.raises(ConfigError):
             cli.parse_config({"n1": 4})
+        bad = [
+            # sigma: non-numeric, negative or non-finite, scalar or list entry
+            {"sigma": "abc"}, {"sigma": -1.0}, {"sigma": float("inf")}, {"sigma": float("nan")},
+            {"sigma": [0.1, "x"]}, {"sigma": [0.0, -1.0]}, {"sigma": [float("inf")]},
+            {"trials": "2"}, {"trials": 1.5},
+            {"N": -5}, {"N": 0},
+            # a planted mixture that cannot be built
+            {"n1": 4, "n2": 4, "ranks": [5]}, {"proportions": [0.7]},
+            {"spectra": [[-1.0]]}, {"spectra": [[1.0, 0.5]]},
+            {"ranks": 5}, {"K": 0, "ranks": []}, {"n1": "10"},
+        ]
+        for overrides in bad:
+            with pytest.raises(ConfigError):
+                cli.parse_config(tiny_config(**overrides))
 
     def test_shipped_configs_load(self):
         paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))

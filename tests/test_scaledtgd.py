@@ -31,12 +31,12 @@ def exact_fit_dataset(rng, l, r, n_samples):
 class TestResiduals:
     def test_exact_fit_is_zero_bitwise(self, rng):
         ds, pair = exact_fit_dataset(rng, rng.standard_normal((4, 2)), rng.standard_normal((5, 2)), 300)
-        assert (tgd.residuals(ds, pair) == 0.0).all()
+        assert (tgd._residual_pass(ds, [pair])[0] == 0.0).all()
 
     def test_scalar_case(self):
         ds = manual_dataset([[2.0]], [1.0], 1, 1)
         pair = FactorPair(l=np.array([[1.0]]), r=np.array([[1.0]]))
-        np.testing.assert_array_equal(tgd.residuals(ds, pair), [1.0])
+        np.testing.assert_array_equal(tgd._residual_pass(ds, [pair])[0], [1.0])
 
     def test_residual_distribution(self, rng):
         # residuals over fresh Gaussian designs are N(0, ||delta||_F^2 + sigma^2)
@@ -48,7 +48,7 @@ class TestResiduals:
         designs = rng.standard_normal((100_000, n * n))
         y = designs @ m_true.ravel() + sigma * rng.standard_normal(100_000)
         ds = manual_dataset(designs, y, n, n)
-        res = tgd.residuals(ds, FactorPair(l, r))
+        res = tgd._residual_pass(ds, [FactorPair(l, r)])[0]
         expected = np.linalg.norm(delta) ** 2 + sigma**2
         assert abs(np.var(res) - expected) / expected < 0.05
 
@@ -65,7 +65,7 @@ class TestResiduals:
         expected = np.concatenate(
             [designs[lo : lo + synth.BLOCK] @ pvec for lo in range(0, N, synth.BLOCK)]
         ) - y
-        assert (tgd.residuals(ds, pair) == expected).all()
+        assert (tgd._residual_pass(ds, [pair])[0] == expected).all()
 
     def test_streamed_mode(self):
         gt = synth.make_ground_truth(4, 4, [1], [1.0], [[1.0]], seed=0)
@@ -74,9 +74,9 @@ class TestResiduals:
         hybrid = synth.sample_dataset(gt, 600, 0.1, seed=2, stored_budget=300 * 16)
         assert hybrid.stored_rows == 300  # the prefix ends inside the only block
         pair = FactorPair(l=np.ones((4, 1)), r=np.ones((4, 1)))
-        expected = tgd.residuals(stored, pair)
-        assert (tgd.residuals(streamed, pair) == expected).all()
-        assert (tgd.residuals(hybrid, pair) == expected).all()
+        expected = tgd._residual_pass(stored, [pair])[0]
+        assert (tgd._residual_pass(streamed, [pair])[0] == expected).all()
+        assert (tgd._residual_pass(hybrid, [pair])[0] == expected).all()
 
 
 class TestTruncationSet:
@@ -111,16 +111,16 @@ class TestTruncationSet:
 class TestStep:
     def test_exact_fit_fixed_point_bitexact(self, rng):
         ds, pair = exact_fit_dataset(rng, rng.standard_normal((4, 2)), rng.standard_normal((5, 2)), 200)
-        out = tgd.scaledtgd_step(ds, pair, eta=1.3, alpha=0.8)
-        assert (out.factors.l == pair.l).all() and (out.factors.r == pair.r).all()
-        assert out.tau == 0.0
+        out = tgd.refine_components(ds, [pair], [tgd.TgdConfig(eta=1.3, alpha=0.8, t0=1)])[0]
+        assert (out.final.l == pair.l).all() and (out.final.r == pair.r).all()
+        assert out.trace.taus[0] == 0.0
 
     def test_scalar_hand_computation(self):
         ds = manual_dataset([[1.0]], [0.0], 1, 1)
         pair = FactorPair(l=np.array([[1.0]]), r=np.array([[1.0]]))
-        out = tgd.scaledtgd_step(ds, pair, eta=0.5, alpha=1.0)
-        assert out.factors.l[0, 0] == 0.5 and out.factors.r[0, 0] == 0.5
-        assert abs(out.factors.product()[0, 0] - 0.25) < 1e-15
+        out = tgd.refine_components(ds, [pair], [tgd.TgdConfig(eta=0.5, alpha=1.0, t0=1)])[0]
+        assert out.final.l[0, 0] == 0.5 and out.final.r[0, 0] == 0.5
+        assert abs(out.final.product()[0, 0] - 0.25) < 1e-15
 
     def test_mixed_fixed_point(self, rng):
         # exact fit on component 1; alpha <= p1 keeps only its zero residuals
@@ -133,17 +133,17 @@ class TestStep:
         labels = np.repeat([0, 1], 300)
         y = np.where(labels == 0, designs @ pair.product().ravel(), designs @ m2.ravel())
         ds = manual_dataset(designs, y, n1, n2)
-        out = tgd.scaledtgd_step(ds, pair, eta=2.6, alpha=0.4)
-        assert out.tau == 0.0 and out.kept == 300
-        assert (out.factors.l == pair.l).all() and (out.factors.r == pair.r).all()
+        out = tgd.refine_components(ds, [pair], [tgd.TgdConfig(eta=2.6, alpha=0.4, t0=1)])[0]
+        assert out.trace.taus[0] == 0.0 and out.trace.kept_counts[0] == 300
+        assert (out.final.l == pair.l).all() and (out.final.r == pair.r).all()
 
     def test_preconditioner_singular(self, rng):
         ds, _ = exact_fit_dataset(rng, rng.standard_normal((4, 2)), rng.standard_normal((4, 2)), 50)
         bad = FactorPair(l=np.hstack([np.ones((4, 1)), np.ones((4, 1))]), r=rng.standard_normal((4, 2)))
         with pytest.raises(PreconditionerSingularError):
-            tgd.scaledtgd_step(ds, bad, eta=1.0, alpha=1.0)
+            tgd.refine_components(ds, [bad], [tgd.TgdConfig(eta=1.0, alpha=1.0, t0=1)])
         with pytest.raises(PreconditionerSingularError) as exc_info:
-            tgd.run_scaledtgd(ds, bad, tgd.TgdConfig(eta=1.0, alpha=1.0, t0=5))
+            tgd.refine_components(ds, [bad], [tgd.TgdConfig(eta=1.0, alpha=1.0, t0=5)])
         assert len(exc_info.value.trace) == 1
         assert exc_info.value.trace.stop_reason == "singular_preconditioner"
 
@@ -156,18 +156,17 @@ class TestStep:
             l = rng.standard_normal((n1, r))
             rr = rng.standard_normal((n2, r))
             q = rng.standard_normal((r, r)) + 3 * np.eye(r)
-            base = tgd.scaledtgd_step(ds, FactorPair(l, rr), eta=0.9, alpha=0.7)
-            rep = tgd.scaledtgd_step(
-                ds, FactorPair(l @ q, rr @ np.linalg.inv(q).T), eta=0.9, alpha=0.7
-            )
-            p1, p2 = base.factors.product(), rep.factors.product()
+            cfg = [tgd.TgdConfig(eta=0.9, alpha=0.7, t0=1)]
+            base = tgd.refine_components(ds, [FactorPair(l, rr)], cfg)[0]
+            rep = tgd.refine_components(ds, [FactorPair(l @ q, rr @ np.linalg.inv(q).T)], cfg)[0]
+            p1, p2 = base.final.product(), rep.final.product()
             assert np.linalg.norm(p1 - p2) <= 1e-10 * max(1.0, np.linalg.norm(p1))
 
 
 class TestRun:
     def test_zero_iterations(self, rng):
         ds, pair = exact_fit_dataset(rng, rng.standard_normal((3, 1)), rng.standard_normal((3, 1)), 60)
-        out = tgd.run_scaledtgd(ds, pair, tgd.TgdConfig(eta=1.0, alpha=0.8, t0=0))
+        out = tgd.refine_components(ds, [pair], [tgd.TgdConfig(eta=1.0, alpha=0.8, t0=0)])[0]
         assert out.final is pair
         assert len(out.trace) == 1 and out.trace.iters == [0]
 
@@ -178,7 +177,7 @@ class TestRun:
         f0 = FactorPair(sub.u * np.sqrt(sub.singular_values[0]),
                         sub.v * np.sqrt(sub.singular_values[0]))
         cfg = tgd.TgdConfig(eta=1.3, alpha=0.8, t0=12)
-        out = tgd.run_scaledtgd(ds, f0, cfg, truth=gt.matrix(0))
+        out = tgd.refine_components(ds, [f0], [cfg], [gt.matrix(0)])[0]
         assert len(out.trace) == 13
         for t, tau, kept, err in out.trace.rows():
             assert tau >= 0.0
@@ -200,9 +199,8 @@ class TestRun:
             sub = spectral.subspace_estimate(spectral.data_matrix(ds), r)
             root = np.sqrt(sub.singular_values[:r])
             f0 = FactorPair(sub.u * root, sub.v * root)
-            out = tgd.run_scaledtgd(
-                ds, f0, tgd.TgdConfig(eta=0.7, alpha=1.0, t0=100), truth=m
-            )
+            cfg = tgd.TgdConfig(eta=0.7, alpha=1.0, t0=100)
+            out = tgd.refine_components(ds, [f0], [cfg], [m])[0]
             errs = [e for e in out.trace.rel_errors]
             assert min(errs) <= 1e-8
             below = next(i for i, e in enumerate(errs) if e <= 1e-8)
@@ -221,9 +219,8 @@ class TestRun:
             sub = spectral.subspace_estimate(spectral.data_matrix(ds), r)
             root = np.sqrt(sub.singular_values[:r])
             f0 = FactorPair(sub.u * root, sub.v * root)
-            out = tgd.run_scaledtgd(
-                ds, f0, tgd.TgdConfig(eta=0.7, alpha=1.0, t0=40), truth=m
-            )
+            cfg = tgd.TgdConfig(eta=0.7, alpha=1.0, t0=40)
+            out = tgd.refine_components(ds, [f0], [cfg], [m])[0]
             errs = np.array(out.trace.rel_errors[3:])
             hits += (np.diff(errs) <= 1e-12).all()
         assert hits >= 9
@@ -235,16 +232,17 @@ class TestRun:
         f0 = FactorPair(sub.u * np.sqrt(sub.singular_values[0]),
                         sub.v * np.sqrt(sub.singular_values[0]))
         cfg = tgd.TgdConfig(eta=1.3, alpha=0.8, t0=500, early_stop_tol=1e-12)
-        out = tgd.run_scaledtgd(ds, f0, cfg, truth=gt.matrix(0))
+        out = tgd.refine_components(ds, [f0], [cfg], [gt.matrix(0)])[0]
         assert len(out.trace) < 501
         assert out.trace.rel_errors[-1] <= 1e-8
 
     def test_stop_reasons(self, rng):
         ds, pair = exact_fit_dataset(rng, rng.standard_normal((3, 1)), rng.standard_normal((3, 1)), 60)
         for t0 in (0, 3):
-            out = tgd.run_scaledtgd(ds, pair, tgd.TgdConfig(1.0, 0.8, t0=t0))
+            out = tgd.refine_components(ds, [pair], [tgd.TgdConfig(1.0, 0.8, t0=t0)])[0]
             assert out.trace.stop_reason == "budget" and len(out.trace) == t0 + 1
-        out = tgd.run_scaledtgd(ds, pair, tgd.TgdConfig(1.0, 0.8, t0=3, early_stop_tol=1e-12))
+        cfg = tgd.TgdConfig(1.0, 0.8, t0=3, early_stop_tol=1e-12)
+        out = tgd.refine_components(ds, [pair], [cfg])[0]
         assert out.trace.stop_reason == "early_stop" and len(out.trace) == 2
 
     def test_config_validation(self):
@@ -299,7 +297,7 @@ class TestRefineComponents:
         assert [len(run.trace) for run in fused][::2] == [5, 21]
         assert 5 < len(fused[1].trace) < 21  # stops between the two budgets
         for run, f0, cfg, truth in zip(fused, inits, cfgs, truths):
-            assert same_run(run, tgd.run_scaledtgd(ds, f0, cfg, truth=truth))
+            assert same_run(run, tgd.refine_components(ds, [f0], [cfg], [truth])[0])
             assert run.trace.rel_errors[-1] < run.trace.rel_errors[0]
 
     def test_storage_does_not_change_bits(self):

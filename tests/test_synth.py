@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import stacked_rows
 from mixsense import synth
 from mixsense.errors import InvalidInputError
 
@@ -159,7 +160,7 @@ class TestSampleDataset:
         ds = synth.sample_dataset(gt, N=4, sigma=0.0, seed=1)
         m = gt.matrix(0)
         for i in range(4):
-            a = ds.design_rows([i]).reshape(2, 2)
+            a = stacked_rows(ds, [i]).reshape(2, 2)
             assert abs(ds.y[i] - np.vdot(a, m)) < 1e-12 * max(1.0, abs(ds.y[i]))
 
     def test_noiseless_consistency_bitexact(self):
@@ -186,21 +187,38 @@ class TestSampleDataset:
         for other in (streamed, hybrid):
             assert (stored.y == other.y).all()
             assert (stored.hidden_labels == other.hidden_labels).all()
-            assert (stored.design_rows(idx) == other.design_rows(idx)).all()
+            assert (stacked_rows(stored, idx) == stacked_rows(other, idx)).all()
             blocks = list(other.iter_design_blocks())
             assert len(blocks) == 3
             for (lo1, hi1, b1), (lo2, hi2, b2) in zip(stored.iter_design_blocks(), blocks):
                 assert lo1 == lo2 and hi1 == hi2 and (b1 == b2).all()
 
+    def test_needed_mask_reads(self):
+        # the stored prefix ends inside the second of three blocks
+        gt = equal_mixture(4, K=2, r=1, seed=6)
+        N, nn = 2100, 16
+        ds = synth.sample_dataset(gt, N=N, sigma=0.0, seed=3, stored_budget=1500 * nn)
+        truth = synth.sample_dataset(gt, N=N, sigma=0.0, seed=3, stored_budget=N * nn)
+        needed = np.random.default_rng(0).random(N) < 0.3
+        stored = np.arange(N) < ds.stored_rows
+        full = np.vstack([rows for _, _, rows in ds.iter_design_blocks()])
+        masked = np.vstack([rows for _, _, rows in ds.iter_design_blocks(needed)])
+        assert (full == truth.designs_flat).all()
+        # stored rows whatever the mask says, inside and outside it
+        assert (masked[stored] == full[stored]).all()
+        assert needed[stored].any() and not needed[stored].all()
+        # unstored rows: regenerated inside the mask, zeros outside it
+        inside, outside = ~stored & needed, ~stored & ~needed
+        assert inside.any() and outside.any()
+        assert (masked[inside] == full[inside]).all()
+        assert (masked[outside] == 0.0).all() and (full[outside] != 0.0).all()
+
     def test_streamed_regeneration_is_stable(self):
         gt = equal_mixture(4, K=1, r=1, seed=2)
         ds = synth.sample_dataset(gt, N=10, sigma=1.0, seed=5, stored_budget=0)
-        once = ds.design_rows(np.arange(10))
-        again = ds.design_rows(np.arange(10))
+        once = stacked_rows(ds, np.arange(10))
+        again = stacked_rows(ds, np.arange(10))
         assert (once == again).all()
-        for bad in ([10], [-1], [[0]]):
-            with pytest.raises(InvalidInputError):
-                ds.design_rows(bad)
 
     def test_auto_storage_policy(self):
         gt = equal_mixture(4, K=1, r=1, seed=2)
@@ -212,7 +230,7 @@ class TestSampleDataset:
             assert ds.stored_rows == min(8, budget // nn)
             assert ds.designs_flat.shape == (ds.stored_rows, nn)
             assert (small.y == ds.y).all()
-            assert (small.design_rows(np.arange(8)) == ds.design_rows(np.arange(8))).all()
+            assert (stacked_rows(small, np.arange(8)) == stacked_rows(ds, np.arange(8))).all()
 
     def test_variance_matches_moments(self):
         gt = synth.make_ground_truth(4, 4, [2], [1.0], [[1.2, 0.7]], seed=3)
