@@ -1,15 +1,15 @@
-"""Experiment harness: synthetic recovery runs, convergence traces, and
-noise sweeps driven by JSON configs, with CSV outputs.
+"""Experiment harness: synthetic recovery runs and noise sweeps driven by
+JSON configs, with CSV outputs.
 
 Usage::
 
     mixsense run         --config cfg.json --out outdir
-    mixsense trace       --config cfg.json --out outdir
     mixsense sweep-noise --config cfg.json --out outdir
 
-Exit codes: 0 success, 2 config error, 3 numerical failure (partial CSV
-output, including every trial finished before the failure, is flushed
-before exiting).
+`run` writes summary.csv, report.json and the convergence trace of its
+first trial, trace.csv. Exit codes: 0 success, 2 config error, 3 numerical
+failure (partial output, including every trial finished before the
+failure, is flushed before exiting).
 """
 
 import argparse
@@ -130,8 +130,12 @@ def _pipeline_config(cfg: ExperimentConfig, seed: int) -> PipelineConfig:
         raise ConfigError(f"bad pipeline section: {exc}") from exc
 
 
+def _trial_seed(cfg: ExperimentConfig, trial: int, sigma_idx: int) -> int:
+    return cfg.seed + TRIAL_STRIDE * trial + SIGMA_STRIDE * sigma_idx
+
+
 def _run_trial(cfg: ExperimentConfig, sigma: float, trial: int, sigma_idx: int = 0):
-    seed = cfg.seed + TRIAL_STRIDE * trial + SIGMA_STRIDE * sigma_idx
+    seed = _trial_seed(cfg, trial, sigma_idx)
     gt = make_ground_truth(
         cfg.n1, cfg.n2, cfg.ranks, cfg.resolved_proportions(), cfg.resolved_spectra(), seed,
     )
@@ -141,6 +145,25 @@ def _run_trial(cfg: ExperimentConfig, sigma: float, trial: int, sigma_idx: int =
     return seed, report
 
 
+def _run_trials(cfg: ExperimentConfig, sigmas: List[float]):
+    """Run `cfg.trials` trials at each noise level in turn. Returns the
+    finished trials as (sigma_idx, seed, report) and the failed trial's
+    record, None when every trial finished; a numerical failure ends the
+    experiment."""
+    done = []
+    for s_idx, sigma in enumerate(sigmas):
+        for t in range(cfg.trials):
+            try:
+                done.append((s_idx, *_run_trial(cfg, float(sigma), t, sigma_idx=s_idx)))
+            except (MixsenseError, np.linalg.LinAlgError) as exc:
+                print(f"numerical failure: {exc}", file=sys.stderr)
+                trace = getattr(exc, "trace", None)  # a stage-3 abort's partial trace
+                return done, {"seed": _trial_seed(cfg, t, s_idx),
+                              "stage": getattr(exc, "stage", None), "message": str(exc),
+                              "trace": None if trace is None else asdict(trace)}
+    return done, None
+
+
 def _write_csv(path: Path, header: List[str], rows: List[list]):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -148,81 +171,49 @@ def _write_csv(path: Path, header: List[str], rows: List[list]):
         writer.writerows(rows)
 
 
-def _scalar_sigma(cfg: ExperimentConfig) -> float:
+def cmd_run(cfg: ExperimentConfig, out: Path) -> Optional[dict]:
     if isinstance(cfg.sigma, list):
-        raise ConfigError("this command needs a scalar sigma (lists are for sweep-noise)")
-    return float(cfg.sigma)
-
-
-def cmd_run(cfg: ExperimentConfig, out: Path) -> int:
-    sigma = _scalar_sigma(cfg)
-    summary_rows: List[list] = []
-    reports: List[dict] = []
-    failed = None
-    code = 0
-    try:
-        for t in range(cfg.trials):
-            seed, report = _run_trial(cfg, sigma, t)
-            reports.append({"seed": seed, "report": report.to_json_dict()})
-            for k, comp in enumerate(report.per_component):
-                summary_rows.append(
-                    [seed, k, comp.rel_error, comp.init_error, report.stage1.r_used]
-                )
-    except (MixsenseError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        code = 3
-        trace = getattr(exc, "trace", None)  # a stage-3 abort's partial trace
-        failed = {"seed": cfg.seed + TRIAL_STRIDE * t, "stage": getattr(exc, "stage", None),
-                  "message": str(exc), "trace": None if trace is None else asdict(trace)}
+        raise ConfigError("run needs a scalar sigma (lists are for sweep-noise)")
+    done, failed = _run_trials(cfg, [cfg.sigma])
     _write_csv(out / "summary.csv", ["seed", "component", "rel_error", "init_error", "R_used"],
-               summary_rows)
+               [[seed, k, comp.rel_error, comp.init_error, report.stage1.r_used]
+                for _, seed, report in done for k, comp in enumerate(report.per_component)])
+    # the convergence trace of trial 0, one block per component
+    first = done[0][2].per_component if done else []
+    _write_csv(out / "trace.csv", ["iter", "component", "rel_error", "tau", "kept"],
+               [[t, k, err, tau, kept]
+                for k, comp in enumerate(first) for t, tau, kept, err in comp.trace.rows()])
     with open(out / "report.json", "w") as fh:
-        json.dump({"config": cfg.to_json_dict(), "trials": reports, "failed_trial": failed},
+        json.dump({"config": cfg.to_json_dict(),
+                   "trials": [{"seed": seed, "report": report.to_json_dict()}
+                              for _, seed, report in done],
+                   "failed_trial": failed},
                   fh, sort_keys=True, indent=1)
-    return code
+    return failed
 
 
-def cmd_trace(cfg: ExperimentConfig, out: Path) -> int:
-    sigma = _scalar_sigma(cfg)
-    rows: List[list] = []
-    code = 0
-    try:
-        _, report = _run_trial(cfg, sigma, trial=0)
-        for k, comp in enumerate(report.per_component):
-            for t, tau, kept, err in comp.trace.rows():
-                rows.append([t, k, err, tau, kept])
-    except (MixsenseError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        code = 3
-    _write_csv(out / "trace.csv", ["iter", "component", "rel_error", "tau", "kept"], rows)
-    return code
-
-
-def cmd_sweep_noise(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_sweep_noise(cfg: ExperimentConfig, out: Path) -> Optional[dict]:
     sigmas = cfg.sigma if isinstance(cfg.sigma, list) else [cfg.sigma]
     if not sigmas:
         raise ConfigError("sweep-noise needs a non-empty sigma list")
-    rows: List[list] = []
-    code = 0
-    try:
-        for s_idx, sigma in enumerate(sigmas):
-            worst = []
-            for t in range(cfg.trials):
-                _, report = _run_trial(cfg, float(sigma), t, sigma_idx=s_idx)
-                worst.append(max(c.rel_error for c in report.per_component))
-            rows.append([float(sigma), float(np.mean(worst)), cfg.trials])
-    except (MixsenseError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        code = 3
-    _write_csv(out / "sweep.csv", ["sigma", "mean_max_rel_error", "trials"], rows)
-    return code
+    done, failed = _run_trials(cfg, sigmas)
+    worst: List[List[float]] = [[] for _ in sigmas]
+    for s_idx, _, report in done:
+        worst[s_idx].append(max(c.rel_error for c in report.per_component))
+    _write_csv(out / "sweep.csv", ["sigma", "mean_max_rel_error", "trials"],
+               [[float(sigma), float(np.mean(w)), cfg.trials]
+                for sigma, w in zip(sigmas, worst) if len(w) == cfg.trials])
+    return failed
+
+
+COMMANDS = {"run": cmd_run, "sweep-noise": cmd_sweep_noise}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="mixsense",
                                      description="mixed low-rank matrix sensing experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "trace", "sweep-noise"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
@@ -231,14 +222,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "run":
-            return cmd_run(cfg, out)
-        if args.command == "trace":
-            return cmd_trace(cfg, out)
-        return cmd_sweep_noise(cfg, out)
+        failed = COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    return 3 if failed else 0
 
 
 if __name__ == "__main__":

@@ -118,6 +118,7 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(path), "--out", str(out2)]) == 0
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+        assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
     def test_numerical_failure_exits_3_with_partial_output(self, tmp_path):
         bad = tiny_config(pipeline={"t0": 10, "supplied_r_joint": 99})
@@ -186,11 +187,11 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
 
 
-class TestTraceCommand:
+class TestTraceOutput:
     def test_trace_rows(self, tmp_path):
         path = write_config(tmp_path, tiny_config(trials=1))
         out = tmp_path / "out"
-        assert cli.main(["trace", "--config", str(path), "--out", str(out)]) == 0
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
         rows = read_csv(out / "trace.csv")
         assert rows[0] == ["iter", "component", "rel_error", "tau", "kept"]
         body = rows[1:]
@@ -203,7 +204,31 @@ class TestTraceCommand:
     def test_trace_rejects_t0_zero(self, tmp_path):
         path = write_config(tmp_path, tiny_config(pipeline={"t0": 0}))
         out = tmp_path / "out"
-        assert cli.main(["trace", "--config", str(path), "--out", str(out)]) == 2
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+
+    def test_trace_is_trial_0_of_the_report(self, tmp_path, monkeypatch):
+        calls = []
+        real_run_pipeline = cli.run_pipeline
+
+        def run_pipeline(*args, **kwargs):
+            calls.append(args)
+            return real_run_pipeline(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+        path = write_config(tmp_path, tiny_config(K=2, ranks=[1, 1], sigma=1e-5, N=1800))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert len(calls) == 2  # one solve per trial
+        report = json.loads((out / "report.json").read_text())
+        components = report["trials"][0]["report"]["per_component"]
+        expected = [
+            [str(r["iter"]), str(k), str(r["rel_error"]), str(r["tau"]), str(r["kept"])]
+            for k, comp in enumerate(components) for r in comp["trace"]
+        ]
+        rows = read_csv(out / "trace.csv")
+        assert rows[0] == ["iter", "component", "rel_error", "tau", "kept"]
+        assert rows[1:] == expected
+        assert {r[1] for r in rows[1:]} == {"0", "1"}
 
 
 class TestSweepCommand:
@@ -226,6 +251,23 @@ class TestSweepCommand:
         rows = read_csv(out / "sweep.csv")
         assert [r[0] for r in rows[1:]] == ["0.0001", "0.01"]
         assert float(rows[1][1]) < float(rows[2][1])
+
+    def test_failure_keeps_finished_levels(self, tmp_path, monkeypatch):
+        real_run_trial = cli._run_trial
+
+        def fail_at_level_1(cfg, sigma, trial, sigma_idx=0):
+            if (sigma_idx, trial) == (1, 1):
+                raise MixsenseError("injected failure")
+            return real_run_trial(cfg, sigma, trial, sigma_idx=sigma_idx)
+
+        monkeypatch.setattr(cli, "_run_trial", fail_at_level_1)
+        path = write_config(tmp_path, tiny_config(sigma=[0.0, 1e-3], trials=2))
+        out = tmp_path / "out"
+        assert cli.main(["sweep-noise", "--config", str(path), "--out", str(out)]) == 3
+        rows = read_csv(out / "sweep.csv")
+        # level 1 finished only one of its trials, so it has no row
+        assert len(rows) == 1 + 1 and rows[1][0] == "0.0" and rows[1][2] == "2"
+        assert float(rows[1][1]) <= 1e-6
 
     def test_empty_sigma_list(self, tmp_path):
         path = write_config(tmp_path, tiny_config(sigma=[]))
