@@ -90,12 +90,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
         cfg = ExperimentConfig(**raw)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
+    # a JSON true or false parses as a bool, which Python counts as an int
+    for name in ("K", "seed", "trials", "N"):
+        val = getattr(cfg, name)
+        is_int = isinstance(val, int) and not isinstance(val, bool)
+        if not is_int and not (name == "N" and isinstance(val, str)):
+            raise ConfigError(f"{name} must be an integer, got {val!r}")
     if not isinstance(cfg.ranks, list) or not cfg.ranks or cfg.K != len(cfg.ranks):
         raise ConfigError(f"need one rank per component, got K={cfg.K!r}, ranks={cfg.ranks!r}")
-    if not isinstance(cfg.trials, int) or cfg.trials < 1:
+    if cfg.trials < 1:
         raise ConfigError(f"trials must be an integer >= 1, got {cfg.trials!r}")
     sigmas = cfg.sigma if isinstance(cfg.sigma, list) else [cfg.sigma]
-    if not all(isinstance(s, (int, float)) and 0.0 <= s < math.inf for s in sigmas):
+    if not all(isinstance(s, (int, float)) and not isinstance(s, bool) and 0.0 <= s < math.inf
+               for s in sigmas):
         raise ConfigError(f"sigma must be finite and >= 0, got {cfg.sigma!r}")
     if not isinstance(cfg.pipeline, dict):
         raise ConfigError("pipeline section must be an object")

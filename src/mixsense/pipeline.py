@@ -104,6 +104,8 @@ def align_components(estimates: Sequence[np.ndarray], truths: Sequence[np.ndarra
 @dataclass
 class Stage1Report:
     r_used: int
+    spectrum: List[float]           # top r_used + 1 singular values of the data matrix
+    gap_ratio: float                # the rank rule's ratio at r_used
     dist_u: Optional[float] = None
     dist_v: Optional[float] = None
 
@@ -141,6 +143,7 @@ class RecoveryReport:
                     "rel_error": c.rel_error,
                     "init_error": c.init_error,
                     "stop_reason": c.trace.stop_reason,
+                    "fallbacks": c.trace.fallbacks,
                     "trace": [
                         {"iter": t, "tau": tau, "kept": kept, "rel_error": err}
                         for t, tau, kept, err in c.trace.rows()
@@ -150,6 +153,8 @@ class RecoveryReport:
             ],
             "stage1": {
                 "r_used": self.stage1.r_used,
+                "spectrum": self.stage1.spectrum,
+                "gap_ratio": self.stage1.gap_ratio,
                 "dist_u": self.stage1.dist_u,
                 "dist_v": self.stage1.dist_v,
             },
@@ -255,7 +260,8 @@ def run_pipeline(
             ComponentReport(rel_error=rel_errors[k], init_error=init_errors[k], trace=runs[k].trace)
             for k in range(K)
         ],
-        stage1=Stage1Report(r_used=sub.r_joint, dist_u=dist_u, dist_v=dist_v),
+        stage1=Stage1Report(sub.r_joint, sub.singular_values[: sub.r_joint + 1].tolist(),
+                            spectral.gap_ratio(sub.singular_values, sub.r_joint), dist_u, dist_v),
         stage2=Stage2Report(init.mlr.whitening_ratio, init.mlr.weight_flagged.tolist()),
         weights=init.mlr.weights.copy(),
     )

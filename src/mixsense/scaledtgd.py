@@ -16,6 +16,9 @@ from .errors import InvalidInputError, PreconditionerSingularError
 from .initialization import FactorPair
 from .synth import SUB, Dataset
 
+# Relative half-width of the band around a predicted truncation level.
+BAND = 0.1
+
 
 @dataclass(frozen=True)
 class TgdConfig:
@@ -46,6 +49,7 @@ class TgdTrace:
     kept_counts: List[int] = field(default_factory=list)
     rel_errors: List[Optional[float]] = field(default_factory=list)
     stop_reason: Optional[str] = None  # "budget", "early_stop" or "singular_preconditioner"
+    fallbacks: int = 0  # iterations whose level missed its predicted band
 
     def append(self, t: int, tau: float, kept: int, rel_error: Optional[float]):
         self.iters.append(int(t))
@@ -70,21 +74,32 @@ class TgdRun(NamedTuple):
     trace: TgdTrace
 
 
-def _residual_pass(dataset: Dataset, factor_list: Sequence[FactorPair]) -> np.ndarray:
+def _residual_pass(dataset: Dataset, factor_list: Sequence[FactorPair], sums=()) -> np.ndarray:
     """Signed residuals ``<A_i, l r^T> - y_i`` of each factor pair, one row
-    per pair. Each SUB-row slice of a design block serves every pair while
-    it is in cache."""
+    per pair, from one :func:`_design_pass` that also adds to `sums`."""
     if any(f.l.shape[0] != dataset.n1 or f.r.shape[0] != dataset.n2 for f in factor_list):
         raise InvalidInputError("factor shapes do not match the dataset")
-    pvecs = [f.product().ravel() for f in factor_list]
-    out = np.empty((len(pvecs), dataset.N))
-    for lo, hi, rows in dataset.iter_design_blocks():
-        for s in range(0, hi - lo, SUB):
-            sub = rows[s : s + SUB]
-            for res, pvec in zip(out, pvecs):
-                np.matmul(sub, pvec, out=res[lo + s : lo + s + len(sub)])
-    out -= dataset.y
+    out = np.empty((len(factor_list), dataset.N))
+    _design_pass(dataset, out, [f.product().ravel() for f in factor_list], sums)
     return out
+
+
+def _design_pass(dataset: Dataset, res: np.ndarray, pvecs, sums, needed=None) -> None:
+    """Walk the design blocks SUB rows at a time. Each slice, while in cache,
+    fills row j of `res` with the residuals of product vector ``pvecs[j]``,
+    then adds ``r_i A_i`` over its samples with ``|r_i| <= cut`` to `acc`,
+    for each ``(row, cut, acc)`` in `sums` and ``r = res[row]``. Unstored
+    rows outside `needed` read as zeros, which is exact for the sums when
+    it holds every row they keep."""
+    for lo, hi, rows in dataset.iter_design_blocks(needed):
+        for s in range(0, hi - lo, SUB):
+            sub, at = rows[s : s + SUB], slice(lo + s, min(lo + s + SUB, hi))
+            for r, pvec in zip(res, pvecs):
+                np.matmul(sub, pvec, out=r[at])
+            res[: len(pvecs), at] -= dataset.y[at]
+            for row, cut, acc in sums:
+                r = res[row, at]
+                acc += np.where(np.abs(r) <= cut, r, 0.0) @ sub
 
 
 def truncation_set(abs_residuals: np.ndarray, alpha: float) -> TruncationSet:
@@ -108,17 +123,15 @@ def _gram_solve_factor(f: np.ndarray) -> np.ndarray:
     return (vt.T / s**2) @ vt
 
 
-def _gradient_pass(dataset: Dataset, weights, needed: np.ndarray) -> np.ndarray:
-    """Weighted design sums ``w @ A`` for each weight vector w, one row per
-    vector, accumulated per SUB-row slice of the design blocks. Unstored rows
-    outside `needed` read as zeros, which is exact where every weight is 0."""
-    acc = np.zeros((len(weights), dataset.n1 * dataset.n2))
-    for lo, hi, rows in dataset.iter_design_blocks(needed):
-        for s in range(0, hi - lo, SUB):
-            sub = rows[s : s + SUB]
-            for grad, w in zip(acc, weights):
-                grad += w[lo + s : lo + s + len(sub)] @ sub
-    return acc
+def _band_pass(dataset: Dataset, res: np.ndarray, bands) -> None:
+    """For each ``(row, mask, acc)`` in `bands`, add ``r_i A_i`` over the
+    samples in `mask` to `acc`, gathering that row's own masked rows block by
+    block. Only unstored rows in some mask are regenerated."""
+    for lo, hi, rows in dataset.iter_design_blocks(np.logical_or.reduce([m for _, m, _ in bands])):
+        for row, mask, acc in bands:
+            at = np.flatnonzero(mask[lo:hi])
+            if at.size:
+                acc += res[row, lo + at] @ rows[at]
 
 
 def _update(factors: FactorPair, grad: np.ndarray, scale: float) -> FactorPair:
@@ -138,11 +151,19 @@ def refine_components(
     truths: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> List[TgdRun]:
     """Iterate the truncated update of all components in lockstep, each until
-    its own budget or early stop, with one residual pass and one gradient
-    pass over the designs per iteration. In each step (:func:`_update`) both
-    factors read the incoming iterate, the gradient sums over the truncation
-    set, and the normalization is 1/N, whatever the number of samples kept.
-    A component reads only its own residuals and weights, so its result is
+    its own budget or early stop. In each step (:func:`_update`) both factors
+    read the incoming iterate, the gradient sums over the truncation set,
+    and the normalization is 1/N, whatever the number of samples kept.
+
+    From the third iterate on, the level is predicted as
+    ``tau_hat = tau_{t-1}^2 / tau_{t-2}`` (the error contracts linearly),
+    and the residual pass also sums the rows with
+    ``|r_i| <= (1 - BAND) tau_hat``. When the level lands in
+    ``((1 - BAND) tau_hat, (1 + BAND) tau_hat]``, :func:`_band_pass` adds
+    the rows in between, so the step costs one design pass. Otherwise, and
+    before the third iterate or after a zero level, the component takes a
+    full gradient pass; a missed prediction counts in `TgdTrace.fallbacks`.
+    A component reads only its own residuals and levels, so its result is
     bit-identical to its solo run. Trace rows of component k log the error
     against `truths[k]`, if given.
     """
@@ -155,21 +176,40 @@ def refine_components(
     pending = list(range(K))  # components whose current iterate has no trace row yet
     t = 0
     while pending:
-        res = _residual_pass(dataset, [factors[k] for k in pending])
-        active, weights, needed = [], [], np.zeros(N, dtype=bool)
-        for k, row in zip(pending, res):
-            trunc = truncation_set(np.abs(row), cfgs[k].alpha)
+        guess = {}  # pending row -> predicted level
+        for j, k in enumerate(pending):
+            taus = traces[k].taus
+            if traces[k].stop_reason is None and len(taus) > 1 and taus[-1] > 0 and taus[-2] > 0:
+                guess[j] = taus[-1] * (taus[-1] / taus[-2])
+        sums = np.zeros((len(pending), dataset.n1 * dataset.n2))
+        res = _residual_pass(dataset, [factors[k] for k in pending],
+                             [(j, (1 - BAND) * tau, sums[j]) for j, tau in guess.items()])
+        active, bands, missed, needed = [], [], [], np.zeros(N, dtype=bool)
+        for j, (k, row) in enumerate(zip(pending, res)):
+            abs_row = np.abs(row)
+            trunc = truncation_set(abs_row, cfgs[k].alpha)
             err = None if truths[k] is None else core.rel_fro_error(factors[k].product(), truths[k])
             traces[k].append(t, trunc.tau, trunc.indices.size, err)
-            if traces[k].stop_reason is None:
-                active.append(k)
-                weights.append(np.where(np.abs(row) <= trunc.tau, row, 0.0))
+            if traces[k].stop_reason is not None:
+                continue
+            active.append(j)
+            cut = (1 - BAND) * guess.get(j, 0.0)
+            if cut < trunc.tau <= (1 + BAND) * guess.get(j, 0.0):
+                bands.append((j, (abs_row > cut) & (abs_row <= trunc.tau), sums[j]))
+            else:
+                traces[k].fallbacks += j in guess
+                sums[j] = 0.0
+                missed.append((j, trunc.tau, sums[j]))
                 needed[trunc.indices] = True
-        grads = _gradient_pass(dataset, weights, needed) if active else []
-        for k, grad in zip(active, grads):
+        if bands:
+            _band_pass(dataset, res, bands)
+        if missed:
+            _design_pass(dataset, res, [], missed, needed)
+        for j in active:
+            k = pending[j]
             f, cfg = factors[k], cfgs[k]
             try:
-                factors[k] = _update(f, grad.reshape(dataset.n1, dataset.n2), cfg.eta / N)
+                factors[k] = _update(f, sums[j].reshape(dataset.n1, dataset.n2), cfg.eta / N)
             except PreconditionerSingularError as exc:
                 traces[k].stop_reason = "singular_preconditioner"
                 raise PreconditionerSingularError(str(exc), trace=traces[k]) from exc
@@ -179,7 +219,6 @@ def refine_components(
                 traces[k].stop_reason = "early_stop"
             elif t + 1 == cfg.t0:
                 traces[k].stop_reason = "budget"
-        pending = active
+        pending = [pending[j] for j in active]
         t += 1
     return [TgdRun(final=f, trace=trace) for f, trace in zip(factors, traces)]
-

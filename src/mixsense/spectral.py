@@ -70,7 +70,8 @@ def estimate_rank(singular_values: Sequence[float], max_rank: int) -> int:
     """Rank estimate by the largest consecutive singular-value ratio.
 
     Scans ``s_i / max(s_{i+1}, GAP_FLOOR * s_1)`` for i up to `max_rank`
-    (missing trailing values count as 0) and returns the smallest argmax.
+    (:func:`gap_ratio`; missing trailing values count as 0) and returns the
+    smallest argmax.
     Returns 0 when the spectrum is entirely degenerate.
     """
     s = np.asarray(singular_values, dtype=np.float64).ravel()
@@ -82,10 +83,12 @@ def estimate_rank(singular_values: Sequence[float], max_rank: int) -> int:
         raise InvalidInputError(f"max_rank={max_rank} out of range for {s.size} values")
     if s[0] <= 0.0:
         return 0
-    best_i, best_ratio = 0, -np.inf
-    for i in range(1, max_rank + 1):
-        nxt = s[i] if i < s.size else 0.0
-        ratio = s[i - 1] / max(nxt, GAP_FLOOR * s[0])
-        if ratio > best_ratio:
-            best_i, best_ratio = i, ratio
-    return best_i
+    return 1 + int(np.argmax([gap_ratio(s, i) for i in range(1, max_rank + 1)]))
+
+
+def gap_ratio(singular_values: np.ndarray, rank: int) -> float:
+    """The rank rule's ratio ``s_rank / max(s_{rank+1}, GAP_FLOOR * s_1)``
+    (1-based; a missing ``s_{rank+1}`` counts as 0)."""
+    s = singular_values
+    nxt = s[rank] if rank < s.size else 0.0
+    return float(s[rank - 1] / max(nxt, GAP_FLOOR * s[0]))

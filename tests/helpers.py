@@ -1,11 +1,15 @@
-"""Test-side helpers: a design-row reader over `Dataset.iter_design_blocks`
-and the truncated Gaussian second moment, which only tests evaluate."""
+"""Test-side helpers: a design-row reader over `Dataset.iter_design_blocks`,
+the truncated Gaussian second moment, which only tests evaluate, and a
+two-pass reference for stage 3."""
 
 import math
 
 import numpy as np
 
-from mixsense.errors import InvalidInputError
+from mixsense import core
+from mixsense import scaledtgd as tgd
+from mixsense.errors import InvalidInputError, PreconditionerSingularError
+from mixsense.synth import SUB
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -30,3 +34,55 @@ def truncated_gaussian_second_moment(x: float) -> float:
     if not math.isfinite(x) or x < 0.0:
         raise InvalidInputError(f"argument must be finite and >= 0, got {x}")
     return math.erf(x / math.sqrt(2.0)) - 2.0 * x * std_normal_pdf(x)
+
+
+def two_pass_refine(dataset, inits, cfgs, truths=None):
+    """Reference stage 3: `scaledtgd.refine_components` with no predicted
+    level, so every iteration makes a full residual pass and then a full
+    gradient pass. Each component sums its kept rows in its own order."""
+
+    def slices(needed=None):
+        for lo, hi, rows in dataset.iter_design_blocks(needed):
+            for s in range(0, hi - lo, SUB):
+                yield slice(lo + s, min(lo + s + SUB, hi)), rows[s : s + SUB]
+
+    K, N = len(inits), dataset.N
+    truths = [None] * K if truths is None else list(truths)
+    factors = list(inits)
+    traces = [tgd.TgdTrace(stop_reason="budget" if cfg.t0 == 0 else None) for cfg in cfgs]
+    pending, t = list(range(K)), 0
+    while pending:
+        res = np.empty((len(pending), N))
+        pvecs = [factors[k].product().ravel() for k in pending]
+        for at, sub in slices():
+            for row, pvec in zip(res, pvecs):
+                np.matmul(sub, pvec, out=row[at])
+        res -= dataset.y
+        active, weights, needed = [], [], np.zeros(N, dtype=bool)
+        for k, row in zip(pending, res):
+            trunc = tgd.truncation_set(np.abs(row), cfgs[k].alpha)
+            err = None if truths[k] is None else core.rel_fro_error(factors[k].product(), truths[k])
+            traces[k].append(t, trunc.tau, trunc.indices.size, err)
+            if traces[k].stop_reason is None:
+                active.append(k)
+                weights.append(np.where(np.abs(row) <= trunc.tau, row, 0.0))
+                needed[trunc.indices] = True
+        grads = np.zeros((len(active), dataset.n1 * dataset.n2))
+        for at, sub in slices(needed) if active else ():
+            for grad, w in zip(grads, weights):
+                grad += w[at] @ sub
+        for k, grad in zip(active, grads):
+            f, cfg = factors[k], cfgs[k]
+            try:
+                factors[k] = tgd._update(f, grad.reshape(dataset.n1, dataset.n2), cfg.eta / N)
+            except PreconditionerSingularError:
+                traces[k].stop_reason = "singular_preconditioner"
+                raise
+            prod = f.product()
+            change = np.linalg.norm(factors[k].product() - prod) / max(np.linalg.norm(prod), 1e-300)
+            if cfg.early_stop_tol > 0.0 and change < cfg.early_stop_tol:
+                traces[k].stop_reason = "early_stop"
+            elif t + 1 == cfg.t0:
+                traces[k].stop_reason = "budget"
+        pending, t = active, t + 1
+    return [tgd.TgdRun(final=f, trace=trace) for f, trace in zip(factors, traces)]

@@ -79,6 +79,9 @@ class TestConfigParsing:
             {"n1": 4, "n2": 4, "ranks": [5]}, {"proportions": [0.7]},
             {"spectra": [[-1.0]]}, {"spectra": [[1.0, 0.5]]},
             {"ranks": 5}, {"K": 0, "ranks": []}, {"n1": "10"},
+            # JSON booleans where numbers belong, and a fractional sample count
+            {"trials": True}, {"sigma": True}, {"sigma": [0.0, True]}, {"seed": True},
+            {"K": True}, {"N": True}, {"N": 800.7},
         ]
         for overrides in bad:
             with pytest.raises(ConfigError):

@@ -240,6 +240,10 @@ class TestRunPipeline:
         rep = pl.run_pipeline(ds, None, cfg, truth=gt)
         parsed = json.loads(rep.to_json())
         assert parsed["stage1"]["r_used"] == 2
+        spectrum = parsed["stage1"]["spectrum"]
+        assert len(spectrum) == 3 and spectrum == sorted(spectrum, reverse=True)
+        assert parsed["stage1"]["gap_ratio"] == spectrum[1] / spectrum[2]
+        assert parsed["per_component"][0]["fallbacks"] == rep.per_component[0].trace.fallbacks
         assert len(parsed["per_component"]) == 1
         assert len(parsed["per_component"][0]["trace"]) == len(rep.per_component[0].trace)
         assert parsed["per_component"][0]["stop_reason"] == "budget"

@@ -8,6 +8,8 @@ from mixsense import scaledtgd as tgd
 from mixsense.errors import InvalidInputError, PreconditionerSingularError
 from mixsense.initialization import FactorPair
 
+from helpers import two_pass_refine
+
 
 def manual_dataset(designs_flat, y, n1, n2):
     return synth.Dataset(
@@ -310,6 +312,8 @@ class TestRefineComponents:
             assert all(same_run(a, b) for a, b in zip(runs[0], other))
 
     def test_regenerated_rows_per_pass(self, monkeypatch):
+        # a narrow band makes some predictions miss, so iterations from t = 2
+        # on mix fused components and fallbacks
         _, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
         events = []
         real_draw, real_trunc = synth._draw_rows, tgd.truncation_set
@@ -320,33 +324,136 @@ class TestRefineComponents:
 
         def trunc(abs_residuals, alpha):
             out = real_trunc(abs_residuals, alpha)
-            events.append(set(out.indices.tolist()))
+            events.append((set(out.indices.tolist()), abs_residuals.copy(), out.tau))
             return out
 
         monkeypatch.setattr(synth, "_draw_rows", draw)
         monkeypatch.setattr(tgd, "truncation_set", trunc)
-        runs = tgd.refine_components(ds, inits, cfgs)
-        unstored = list(range(ds.stored_rows, ds.N))
-        lengths = [len(run.trace) for run in runs]
-        pos = 0
-        for t in range(max(lengths)):
-            pending = [k for k, n in enumerate(lengths) if t < n]
-            active = [k for k, n in enumerate(lengths) if t < n - 1]
-            # residual pass: every unstored row once, for all components
-            assert events[pos : pos + len(unstored)] == unstored
-            pos += len(unstored)
-            kept = dict(zip(pending, events[pos : pos + len(pending)]))
-            pos += len(pending)
-            if active:
-                # gradient pass: only unstored rows some active component keeps
-                union = set().union(*(kept[k] for k in active))
-                wanted = [i for i in unstored if i in union]
-                assert 0 < len(wanted) < len(unstored)
-                assert events[pos : pos + len(wanted)] == wanted
-                pos += len(wanted)
-        assert pos == len(events)
+        for band in (tgd.BAND, 0.02):
+            monkeypatch.setattr(tgd, "BAND", band)
+            events.clear()
+            runs = tgd.refine_components(ds, inits, cfgs)
+            unstored = list(range(ds.stored_rows, ds.N))
+            lengths = [len(run.trace) for run in runs]
+            pos, fused, band_reads, fallbacks = 0, 0, 0, [0] * len(runs)
+            for t in range(max(lengths)):
+                pending = [k for k, n in enumerate(lengths) if t < n]
+                active = [k for k, n in enumerate(lengths) if t < n - 1]
+                # the residual pass: every unstored row once, for all components
+                assert events[pos : pos + len(unstored)] == unstored
+                pos += len(unstored)
+                seen = dict(zip(pending, events[pos : pos + len(pending)]))
+                pos += len(pending)
+                band_rows, kept_rows = set(), set()
+                for k in active:
+                    kept, abs_res, tau = seen[k]
+                    taus = runs[k].trace.taus[:t]
+                    guess = taus[-1] * (taus[-1] / taus[-2]) if t >= 2 else 0.0
+                    cut = (1 - band) * guess
+                    if cut < tau <= (1 + band) * guess:
+                        fused += 1
+                        band_rows |= set(np.flatnonzero((abs_res > cut) & (abs_res <= tau)).tolist())
+                    else:
+                        fallbacks[k] += t >= 2
+                        kept_rows |= kept
+                if band_rows:
+                    # the band read: only unstored rows in some fused component's band
+                    wanted = [i for i in unstored if i in band_rows]
+                    assert len(wanted) < len(unstored) // 10
+                    assert events[pos : pos + len(wanted)] == wanted
+                    pos += len(wanted)
+                    band_reads += len(wanted)
+                if kept_rows:
+                    # the gradient pass: only unstored rows some fallback keeps
+                    wanted = [i for i in unstored if i in kept_rows]
+                    assert 0 < len(wanted) < len(unstored)
+                    assert events[pos : pos + len(wanted)] == wanted
+                    pos += len(wanted)
+            assert pos == len(events)
+            assert fallbacks == [run.trace.fallbacks for run in runs]
+            assert fused > 0 and band_reads > 0 and sum(fallbacks) > 0
 
     def test_mismatched_lengths(self):
         _, ds, inits, cfgs = mixture_problem(stored_budget=0, N=60)
         with pytest.raises(InvalidInputError):
             tgd.refine_components(ds, inits, cfgs[:2])
+
+
+def same_arithmetic(a, b):
+    """Same final factors and trace rows, bit for bit; fallback counts aside."""
+    return (
+        a.final.l.tobytes() == b.final.l.tobytes()
+        and a.final.r.tobytes() == b.final.r.tobytes()
+        and list(a.trace.rows()) == list(b.trace.rows())
+        and a.trace.stop_reason == b.trace.stop_reason
+    )
+
+
+def rank2_problem(t0, N=3000, seed=1):
+    """K = 2 rank-2 mixture on 12 x 10 matrices, initializations near the
+    planted components."""
+    gt = synth.make_ground_truth(12, 10, [2, 2], [0.5, 0.5], [[1.0, 1.0]] * 2, seed=seed)
+    ds = synth.sample_dataset(gt, N, 0.0, seed=seed)
+    g = np.random.default_rng(seed)
+    inits = [
+        FactorPair(c.u_star + 0.05 * g.standard_normal(c.u_star.shape), c.v_star * c.sigma_star)
+        for c in gt.components
+    ]
+    return gt, ds, inits, [tgd.TgdConfig(eta=2.6, alpha=0.4, t0=t0)] * 2
+
+
+class TestPredictedBand:
+    def test_zero_width_band_is_the_two_pass_loop(self, monkeypatch):
+        # an empty band misses every prediction, so every step takes the
+        # full gradient pass, as the reference does
+        monkeypatch.setattr(tgd, "BAND", 0.0)
+        for rows in (2100, 1500, 0):
+            gt, ds, inits, cfgs = mixture_problem(stored_budget=rows * 30)
+            runs = tgd.refine_components(ds, inits, cfgs, gt.matrices())
+            for run, ref in zip(runs, two_pass_refine(ds, inits, cfgs, gt.matrices())):
+                assert same_arithmetic(run, ref)
+                assert run.trace.fallbacks == len(run.trace) - 3  # every step from t = 2 on
+
+    def test_default_band_agrees_with_the_two_pass_loop(self):
+        for gt, ds, inits, cfgs in (mixture_problem(stored_budget=1500 * 30), rank2_problem(t0=30)):
+            runs = tgd.refine_components(ds, inits, cfgs, gt.matrices())
+            refs = two_pass_refine(ds, inits, cfgs, gt.matrices())
+            for run, ref in zip(runs, refs):
+                assert run.trace.iters == ref.trace.iters
+                assert run.trace.stop_reason == ref.trace.stop_reason
+                assert run.trace.kept_counts == ref.trace.kept_counts
+                p, q = run.final.product(), ref.final.product()
+                assert np.linalg.norm(p - q) <= 1e-12 * np.linalg.norm(q)
+            # most steps from t = 2 on were fused
+            assert 2 * sum(run.trace.fallbacks for run in runs) < sum(len(run.trace) - 3 for run in runs)
+            # the band rows a component adds are its own, so it runs as it would alone
+            for run, f0, cfg, truth in zip(runs, inits, cfgs, gt.matrices()):
+                assert same_run(run, tgd.refine_components(ds, [f0], [cfg], [truth])[0])
+
+    @pytest.mark.parametrize("t0", [1, 2])
+    def test_short_runs_are_the_two_pass_loop(self, t0):
+        gt, ds, inits, _ = mixture_problem(stored_budget=1500 * 30)
+        cfgs = [tgd.TgdConfig(eta=3.9, alpha=0.8 / 3, t0=t0)] * 3
+        runs = tgd.refine_components(ds, inits, cfgs, gt.matrices())
+        for run, ref in zip(runs, two_pass_refine(ds, inits, cfgs, gt.matrices())):
+            assert same_run(run, ref)  # fallback counts included: there are none
+
+    def test_fallback_count(self, monkeypatch):
+        # count the components in each full gradient pass from t = 2 on
+        seen, t = [], [0]
+        real_pass = tgd._design_pass
+
+        def design_pass(dataset, res, pvecs, sums, needed=None):
+            t[0] += bool(pvecs)  # residual passes start the iterations
+            if not pvecs and t[0] > 2:
+                seen.extend(row for row, _, _ in sums)
+            return real_pass(dataset, res, pvecs, sums, needed)
+
+        monkeypatch.setattr(tgd, "_design_pass", design_pass)
+        for band in (tgd.BAND, 0.02):
+            monkeypatch.setattr(tgd, "BAND", band)
+            seen.clear()
+            t[0] = 0
+            _, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
+            runs = tgd.refine_components(ds, inits, cfgs)
+            assert sum(run.trace.fallbacks for run in runs) == len(seen) > 0

@@ -122,6 +122,13 @@ class TestEstimateRank:
     def test_single_value(self):
         assert spectral.estimate_rank([5.0], max_rank=1) == 1
 
+    def test_gap_ratio_is_the_rule_ratio(self):
+        s = np.array([10, 9, 8, 1e-8, 1e-9])
+        assert spectral.gap_ratio(s, 3) == 8 / 1e-8
+        assert spectral.gap_ratio(s, 5) == 1e-9 / (spectral.GAP_FLOOR * 10)  # nothing past the end
+        ratios = [spectral.gap_ratio(s, i) for i in range(1, 5)]
+        assert spectral.estimate_rank(s, max_rank=4) == 1 + ratios.index(max(ratios))
+
     def test_degenerate_spectrum_flag(self):
         assert spectral.estimate_rank([0.0, 0.0], max_rank=2) == 0
 
