@@ -11,7 +11,6 @@ from .core import rel_fro_error, subspace_distance
 from .errors import (
     ConfigError,
     DegenerateMomentError,
-    DegenerateWhiteningError,
     InvalidInputError,
     MixsenseError,
     PipelineStageError,

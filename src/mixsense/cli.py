@@ -15,7 +15,6 @@ failure, is flushed before exiting).
 import argparse
 import csv
 import json
-import math
 import re
 import sys
 from dataclasses import asdict, dataclass, field
@@ -24,6 +23,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
+from . import core
 from .errors import ConfigError, InvalidInputError, MixsenseError
 from .pipeline import PipelineConfig, run_pipeline
 from .synth import make_ground_truth, sample_dataset
@@ -57,7 +57,7 @@ class ExperimentConfig:
             if not m:
                 raise ConfigError(f"unrecognized sample-size token {self.N!r}")
             return int(m.group(1)) * max(self.n1, self.n2) * max(self.ranks) * self.K
-        return int(self.N)
+        return self.N
 
     def resolved_proportions(self) -> List[float]:
         if self.proportions is None:
@@ -78,6 +78,9 @@ _OPTIONAL = ("proportions", "spectra", "sigma", "N", "seed", "trials", "pipeline
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
+    """Check a config before any trial runs. The library checks the planted
+    mixture, K, the seed and the pipeline section, as trial 0's ground truth
+    and `PipelineConfig` are built; the rest is checked here."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     unknown = set(raw) - set(_REQUIRED) - set(_OPTIONAL)
@@ -86,35 +89,22 @@ def parse_config(raw: dict) -> ExperimentConfig:
     missing = [k for k in _REQUIRED if k not in raw]
     if missing:
         raise ConfigError(f"missing config keys: {missing}")
-    try:
-        cfg = ExperimentConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    # a JSON true or false parses as a bool, which Python counts as an int
-    for name in ("K", "seed", "trials", "N"):
-        val = getattr(cfg, name)
-        is_int = isinstance(val, int) and not isinstance(val, bool)
-        if not is_int and not (name == "N" and isinstance(val, str)):
-            raise ConfigError(f"{name} must be an integer, got {val!r}")
-    if not isinstance(cfg.ranks, list) or not cfg.ranks or cfg.K != len(cfg.ranks):
+    cfg = ExperimentConfig(**raw)
+    if not isinstance(cfg.ranks, list) or not cfg.ranks or len(cfg.ranks) != cfg.K:
         raise ConfigError(f"need one rank per component, got K={cfg.K!r}, ranks={cfg.ranks!r}")
-    if cfg.trials < 1:
-        raise ConfigError(f"trials must be an integer >= 1, got {cfg.trials!r}")
-    sigmas = cfg.sigma if isinstance(cfg.sigma, list) else [cfg.sigma]
-    if not all(isinstance(s, (int, float)) and not isinstance(s, bool) and 0.0 <= s < math.inf
-               for s in sigmas):
-        raise ConfigError(f"sigma must be finite and >= 0, got {cfg.sigma!r}")
     if not isinstance(cfg.pipeline, dict):
         raise ConfigError("pipeline section must be an object")
-    # fail fast on a bad planted mixture, sample size or pipeline knob
     try:
+        core.check_int(cfg.trials, "trials", 1)
+        for sigma in cfg.sigma if isinstance(cfg.sigma, list) else [cfg.sigma]:
+            core.check_finite(sigma, "sigma")
         make_ground_truth(cfg.n1, cfg.n2, cfg.ranks, cfg.resolved_proportions(),
                           cfg.resolved_spectra(), cfg.seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot build the planted mixture: {exc}") from exc
-    if cfg.resolved_n() < cfg.K:
-        raise ConfigError(f"N must be at least K={cfg.K}, got {cfg.resolved_n()}")
-    _pipeline_config(cfg, seed=cfg.seed)
+        _pipeline_config(cfg, seed=cfg.seed)
+        core.check_int(cfg.resolved_n(), "N", cfg.K)
+    except (TypeError, InvalidInputError) as exc:
+        # a TypeError is an unknown pipeline key or a value of the wrong shape
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -131,10 +121,7 @@ def _pipeline_config(cfg: ExperimentConfig, seed: int) -> PipelineConfig:
     section = dict(cfg.pipeline)
     section.setdefault("supplied_ranks", cfg.ranks)
     section.setdefault("supplied_proportions", cfg.resolved_proportions())
-    try:
-        return PipelineConfig(k_components=cfg.K, seed=seed, **section)
-    except (TypeError, InvalidInputError) as exc:
-        raise ConfigError(f"bad pipeline section: {exc}") from exc
+    return PipelineConfig(k_components=cfg.K, seed=seed, **section)
 
 
 def _trial_seed(cfg: ExperimentConfig, trial: int, sigma_idx: int) -> int:
@@ -167,7 +154,7 @@ def _run_trials(cfg: ExperimentConfig, sigmas: List[float]):
                 trace = getattr(exc, "trace", None)  # a stage-3 abort's partial trace
                 return done, {"seed": _trial_seed(cfg, t, s_idx),
                               "stage": getattr(exc, "stage", None), "message": str(exc),
-                              "trace": None if trace is None else asdict(trace)}
+                              "trace": None if trace is None else trace.to_json_dict()}
     return done, None
 
 

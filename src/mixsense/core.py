@@ -1,4 +1,4 @@
-"""Dense-matrix primitives, quantiles, and evaluation metrics.
+"""Dense-matrix primitives, input checks, quantiles, and evaluation metrics.
 
 Everything in this module is pure and operates on plain float64 numpy
 arrays; values are never mutated after construction, so all functions are
@@ -9,6 +9,7 @@ matrix columns and ``unvec`` is its inverse.
 """
 
 import math
+import numbers
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,6 +34,24 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return m
+
+
+# The input checks of every public constructor and entry point. A bool is
+# neither an integer nor a number here, although Python counts it as both.
+
+def check_int(value, name: str, minimum: int = 0) -> int:
+    """Return `value` as an int if it is an integer of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def check_finite(value, name: str) -> float:
+    """Return `value` as a float if it is a finite number >= 0."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value >= 0)):
+        raise InvalidInputError(f"{name} must be a finite number >= 0, got {value!r}")
+    return float(value)
 
 
 def vec(m: np.ndarray) -> np.ndarray:

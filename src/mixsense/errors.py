@@ -14,10 +14,6 @@ class DegenerateMomentError(MixsenseError):
     components (too few samples, or duplicate components)."""
 
 
-class DegenerateWhiteningError(MixsenseError):
-    """Whitening matrix has a numerically singular Gram matrix."""
-
-
 class RankCollapseError(MixsenseError):
     """Tensor decomposition found no component with nonzero weight."""
 

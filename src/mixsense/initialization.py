@@ -79,9 +79,6 @@ def estimate_component_ranks(s_hats: Sequence[np.ndarray]) -> List[int]:
     """
     ranks = []
     for s_hat in s_hats:
-        s_hat = core.as_matrix(s_hat, "compressed component")
-        if s_hat.shape[0] != s_hat.shape[1]:
-            raise InvalidInputError(f"expected square input, got {s_hat.shape}")
         s = np.linalg.svd(s_hat, compute_uv=False)
         ranks.append(spectral.estimate_rank(s, max_rank=s.size))
     return ranks

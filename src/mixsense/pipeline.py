@@ -3,7 +3,7 @@ initialization, then truncated-gradient refinement of all components."""
 
 import contextlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,35 +35,23 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.k_components, (int, np.integer)) or self.k_components < 1:
-            raise InvalidInputError(
-                f"k_components must be an integer >= 1, got {self.k_components!r}"
-            )
-        if not isinstance(self.t0, (int, np.integer)) or self.t0 < 1:
-            raise InvalidInputError(f"t0 must be an integer >= 1, got {self.t0!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not self.early_stop_tol >= 0:
-            raise InvalidInputError(f"early_stop_tol must be >= 0, got {self.early_stop_tol!r}")
-        r_joint = self.supplied_r_joint
-        if r_joint is not None and (not isinstance(r_joint, (int, np.integer)) or r_joint < 1):
-            raise InvalidInputError(f"supplied_r_joint must be an integer >= 1, got {r_joint!r}")
+        core.check_int(self.k_components, "k_components", 1)
+        core.check_int(self.t0, "t0", 1)
+        core.check_int(self.seed, "seed")
+        core.check_finite(self.early_stop_tol, "early_stop_tol")
+        if self.supplied_r_joint is not None:
+            core.check_int(self.supplied_r_joint, "supplied_r_joint", 1)
         for name in ("supplied_ranks", "supplied_proportions"):
             val = getattr(self, name)
             if val is not None:
                 object.__setattr__(self, name, tuple(val))
                 if len(getattr(self, name)) != self.k_components:
                     raise InvalidInputError(f"{name} must have length {self.k_components}")
-        if self.supplied_ranks is not None and not all(
-            isinstance(r, (int, np.integer)) and r >= 1 for r in self.supplied_ranks
-        ):
-            raise InvalidInputError(f"supplied_ranks must be integers >= 1: {self.supplied_ranks}")
-        if self.supplied_proportions is not None and not all(
-            0.0 < p < np.inf for p in self.supplied_proportions
-        ):
-            raise InvalidInputError(
-                f"supplied_proportions must be positive and finite, got {self.supplied_proportions}"
-            )
+        for r in self.supplied_ranks or ():
+            core.check_int(r, "supplied_ranks entry", 1)
+        for p in self.supplied_proportions or ():
+            if core.check_finite(p, "supplied_proportions entry") == 0.0:
+                raise InvalidInputError("supplied_proportions must be positive")
 
 
 def default_params(proportions: Sequence[float], cfg: PipelineConfig) -> List[TgdConfig]:
@@ -139,29 +127,11 @@ class RecoveryReport:
             "estimates": [m.tolist() for m in self.estimates],
             "permutation": list(self.permutation),
             "per_component": [
-                {
-                    "rel_error": c.rel_error,
-                    "init_error": c.init_error,
-                    "stop_reason": c.trace.stop_reason,
-                    "fallbacks": c.trace.fallbacks,
-                    "trace": [
-                        {"iter": t, "tau": tau, "kept": kept, "rel_error": err}
-                        for t, tau, kept, err in c.trace.rows()
-                    ],
-                }
+                {"rel_error": c.rel_error, "init_error": c.init_error, **c.trace.to_json_dict()}
                 for c in self.per_component
             ],
-            "stage1": {
-                "r_used": self.stage1.r_used,
-                "spectrum": self.stage1.spectrum,
-                "gap_ratio": self.stage1.gap_ratio,
-                "dist_u": self.stage1.dist_u,
-                "dist_v": self.stage1.dist_v,
-            },
-            "stage2": {
-                "whitening_ratio": self.stage2.whitening_ratio,
-                "weight_flagged": self.stage2.weight_flagged,
-            },
+            "stage1": asdict(self.stage1),
+            "stage2": asdict(self.stage2),
             "weights": self.weights.tolist(),
         }
 

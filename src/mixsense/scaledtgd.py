@@ -28,14 +28,12 @@ class TgdConfig:
     early_stop_tol: float = 0.0  # relative product change threshold, 0 disables
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise InvalidInputError(f"eta must be > 0, got {self.eta}")
-        if not 0.0 < self.alpha <= 1.0:
+        if core.check_finite(self.eta, "eta") == 0.0:
+            raise InvalidInputError("eta must be > 0")
+        if not 0.0 < core.check_finite(self.alpha, "alpha") <= 1.0:
             raise InvalidInputError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not isinstance(self.t0, (int, np.integer)) or self.t0 < 0:
-            raise InvalidInputError(f"t0 must be an integer >= 0, got {self.t0!r}")
-        if not self.early_stop_tol >= 0:
-            raise InvalidInputError("early_stop_tol must be >= 0")
+        core.check_int(self.t0, "t0")
+        core.check_finite(self.early_stop_tol, "early_stop_tol")
 
 
 @dataclass
@@ -62,6 +60,15 @@ class TgdTrace:
 
     def rows(self):
         return zip(self.iters, self.taus, self.kept_counts, self.rel_errors)
+
+    def to_json_dict(self) -> dict:
+        """The stop reason, the fallback count and one object per row."""
+        return {
+            "stop_reason": self.stop_reason,
+            "fallbacks": self.fallbacks,
+            "trace": [{"iter": t, "tau": tau, "kept": kept, "rel_error": err}
+                      for t, tau, kept, err in self.rows()],
+        }
 
 
 class TruncationSet(NamedTuple):

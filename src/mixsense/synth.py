@@ -33,6 +33,7 @@ from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from . import core
 from .errors import InvalidInputError
 
 # Fixed block length for all chunked passes over a dataset. Consumers must
@@ -119,17 +120,23 @@ def make_ground_truth(
     K = len(ranks)
     if not (len(proportions) == len(spectra) == K) or K < 1:
         raise InvalidInputError("ranks, proportions, spectra must have equal nonzero length")
-    if abs(sum(proportions) - 1.0) > 1e-9:
-        raise InvalidInputError(f"proportions sum to {sum(proportions)!r}, expected 1")
+    n1, n2 = core.check_int(n1, "n1", 1), core.check_int(n2, "n2", 1)
+    core.check_int(seed, "seed")
+    props = [core.check_finite(p, f"component {k} proportion") for k, p in enumerate(proportions)]
+    if abs(sum(props) - 1.0) > 1e-9:
+        raise InvalidInputError(f"proportions sum to {sum(props)!r}, expected 1")
     comps = []
-    for k in range(K):
-        r, p = int(ranks[k]), float(proportions[k])
-        spec = np.asarray(spectra[k], dtype=np.float64)
-        if r < 1 or r > min(n1, n2):
+    for k, p in enumerate(props):
+        r = core.check_int(ranks[k], f"component {k} rank", 1)
+        if r > min(n1, n2):
             raise InvalidInputError(f"component {k}: rank {r} out of range")
         if not (0.0 < p < 1.0 or (p == 1.0 and K == 1)):
             raise InvalidInputError(f"component {k}: proportion {p} out of range")
-        if spec.shape != (r,) or not (spec > 0).all() or (np.diff(spec) > 0).any():
+        spec = np.asarray(spectra[k], dtype=object)  # an object array keeps bools for the check
+        if spec.shape != (r,):
+            raise InvalidInputError(f"component {k}: spectrum must hold {r} values")
+        spec = np.array([core.check_finite(s, f"component {k} spectrum entry") for s in spec])
+        if not (spec > 0).all() or (np.diff(spec) > 0).any():
             raise InvalidInputError(f"component {k}: spectrum must be positive and descending")
         u = random_orthonormal(n1, r, np.random.SeedSequence(entropy=seed, spawn_key=(k, 0)))
         v = random_orthonormal(n2, r, np.random.SeedSequence(entropy=seed, spawn_key=(k, 1)))
@@ -204,9 +211,11 @@ class Dataset:
         self.designs_flat = np.asarray(self.designs_flat, dtype=np.float64)
         if self.y.ndim != 1 or not np.isfinite(self.y).all():
             raise InvalidInputError("y must be a finite 1-D array")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
-        nn = self.n1 * self.n2
+        if self.hidden_labels.shape != self.y.shape:
+            raise InvalidInputError("need one hidden label per measurement")
+        nn = core.check_int(self.n1, "n1", 1) * core.check_int(self.n2, "n2", 1)
+        core.check_finite(self.sigma, "sigma")
+        core.check_int(self.seed, "seed")
         shape = self.designs_flat.shape
         if len(shape) != 2 or shape[0] > self.y.size or shape[1] != nn:
             raise InvalidInputError(
@@ -354,16 +363,11 @@ def sample_dataset(
     ``min(N, stored_budget // (n1 * n2))`` design rows are stored; the rest
     are regenerated whenever they are read.
     """
-    if not isinstance(N, (int, np.integer)) or N < gt.K:
-        raise InvalidInputError(f"need an integer N of at least K={gt.K} samples, got {N!r}")
-    if N >= 2**32:
+    if core.check_int(N, "N", gt.K) >= 2**32:
         raise InvalidInputError(f"need N < 2**32 so that each sample index is one seed word, got {N}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
-    if not isinstance(stored_budget, (int, np.integer)) or stored_budget < 0:
-        raise InvalidInputError(f"stored_budget must be an integer >= 0, got {stored_budget!r}")
-    if not np.isfinite(sigma) or sigma < 0:
-        raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
+    core.check_int(seed, "seed")
+    core.check_int(stored_budget, "stored_budget")
+    core.check_finite(sigma, "sigma")
     counts = _largest_remainder_counts(gt.proportions, N)
     labels = np.repeat(np.arange(gt.K), counts)
     label_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))

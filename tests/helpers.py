@@ -1,17 +1,34 @@
-"""Test-side helpers: a design-row reader over `Dataset.iter_design_blocks`,
-the truncated Gaussian second moment, which only tests evaluate, and a
-two-pass reference for stage 3."""
+"""Test-side helpers: a dataset built from given arrays, a design-row reader
+over `Dataset.iter_design_blocks`, the truncated Gaussian second moment,
+which only tests evaluate, and a two-pass reference for stage 3."""
 
 import math
 
 import numpy as np
 
-from mixsense import core
+from mixsense import core, synth
 from mixsense import scaledtgd as tgd
 from mixsense.errors import InvalidInputError, PreconditionerSingularError
 from mixsense.synth import SUB
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Values every boundary must reject where an integer, or a finite
+# non-negative number, belongs. A bool is neither.
+BAD_INTS = (True, 1.5, "1", math.nan, math.inf, -1)
+BAD_NUMBERS = (True, "1", math.nan, math.inf, -1)
+
+
+def manual_dataset(designs, y):
+    """Fully stored noiseless dataset over an (N, n1, n2) stack of designs."""
+    designs = np.asarray(designs, dtype=float)
+    n, n1, n2 = designs.shape
+    return synth.Dataset(
+        n1=n1, n2=n2, sigma=0.0, seed=0,
+        y=np.asarray(y, dtype=float),
+        hidden_labels=np.zeros(n, dtype=np.int64),
+        designs_flat=designs.reshape(n, n1 * n2).copy(),
+    )
 
 
 def stacked_rows(dataset, indices) -> np.ndarray:

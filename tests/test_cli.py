@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import BAD_INTS, BAD_NUMBERS
 from mixsense import cli, scaledtgd
 from mixsense.errors import ConfigError, MixsenseError, PreconditionerSingularError
 
@@ -82,6 +83,13 @@ class TestConfigParsing:
             # JSON booleans where numbers belong, and a fractional sample count
             {"trials": True}, {"sigma": True}, {"sigma": [0.0, True]}, {"seed": True},
             {"K": True}, {"N": True}, {"N": 800.7},
+            # booleans that only the library sees: ranks, spectra and the pipeline section
+            {"K": 2, "ranks": [True, True]}, {"K": 2, "ranks": [1, 1], "spectra": [[True], [1.0]]},
+            {"pipeline": {"t0": True}}, {"pipeline": {"supplied_r_joint": True}},
+            {"K": 2, "ranks": [1, 1], "pipeline": {"supplied_ranks": [True, True]}},
+            {"pipeline": {"early_stop_tol": True}},
+            *({name: v} for name in ("K", "seed", "trials", "N") for v in BAD_INTS),
+            *({"sigma": v} for v in BAD_NUMBERS), *({"sigma": [0.0, v]} for v in BAD_NUMBERS),
         ]
         for overrides in bad:
             with pytest.raises(ConfigError):
@@ -173,10 +181,12 @@ class TestRunCommand:
         failed = report["failed_trial"]
         assert failed["seed"] == 2000 and failed["stage"] == "stage3"
         assert "forced" in failed["message"]
-        trace = failed["trace"]
+        trace = failed["trace"]  # in the form of a finished component's entry
         assert trace["stop_reason"] == "singular_preconditioner"
-        assert trace["iters"] == [0, 1, 2]
-        assert all(err is not None for err in trace["rel_errors"])
+        assert [row["iter"] for row in trace["trace"]] == [0, 1, 2]
+        assert all(row["rel_error"] is not None for row in trace["trace"])
+        finished = report["trials"][0]["report"]["per_component"][0]
+        assert set(trace) == set(finished) - {"rel_error", "init_error"}
         assert len(read_csv(out / "summary.csv")) == 1 + 2
 
     def test_negative_tolerance_exits_2(self, tmp_path):

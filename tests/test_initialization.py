@@ -1,21 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import stacked_rows
+from helpers import manual_dataset, stacked_rows
 from mixsense import core, initialization as ini, spectral, synth
 from mixsense.errors import InvalidInputError, RankDeficientInitError
 from mixsense.spectral import SubspaceEstimate
-
-
-def manual_dataset(designs, y):
-    designs = np.asarray(designs, dtype=float)
-    n, n1, n2 = designs.shape
-    return synth.Dataset(
-        n1=n1, n2=n2, sigma=0.0, seed=0,
-        y=np.asarray(y, dtype=float),
-        hidden_labels=np.zeros(n, dtype=np.int64),
-        designs_flat=designs.reshape(n, n1 * n2).copy(),
-    )
 
 
 def subspace(u, v):

@@ -10,7 +10,6 @@ from mixsense import mlr_tensor as mt
 from mixsense.synth import BLOCK
 from mixsense.errors import (
     DegenerateMomentError,
-    DegenerateWhiteningError,
     InvalidInputError,
     RankCollapseError,
 )
@@ -403,11 +402,6 @@ class TestUnwhiten:
             est = mt.unwhiten([(0.5, np.array([1.0]))], mt.Whitening(np.array([[1.0], [0.0]]), 1.0))
         assert est.weights[0] == 4.0 and est.weight_flagged[0]
         assert est.whitening_ratio == 1.0
-
-    def test_singular_gram(self):
-        with pytest.raises(DegenerateWhiteningError):
-            mt.unwhiten([(1.0, np.array([1.0, 0.0]))],
-                        mt.Whitening(np.array([[1.0, 1.0], [1.0, 1.0]]), 1.0))
 
 
 class TestSolveMlr:

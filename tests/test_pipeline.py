@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import BAD_INTS, BAD_NUMBERS
 from mixsense import core, initialization as ini, pipeline as pl, scaledtgd, synth
 from mixsense.errors import (
     InvalidInputError, MixsenseError, PipelineStageError, PreconditionerSingularError,
@@ -111,6 +112,16 @@ class TestPipelineConfig:
         for props in ((0.0,), (-0.5,), (float("nan"),), (float("inf"),)):
             with pytest.raises(InvalidInputError):
                 pl.PipelineConfig(k_components=1, supplied_proportions=props)
+
+    @pytest.mark.parametrize("field, value", [
+        *((name, v) for name in ("k_components", "t0", "seed", "supplied_r_joint") for v in BAD_INTS),
+        *(("early_stop_tol", v) for v in BAD_NUMBERS),
+        *(("supplied_ranks", (v,)) for v in BAD_INTS),
+        *(("supplied_proportions", (v,)) for v in BAD_NUMBERS),
+    ])
+    def test_bad_values(self, field, value):
+        with pytest.raises(InvalidInputError):
+            pl.PipelineConfig(**{"k_components": 1, field: value})
 
 
 def desk_problem(seed, n=16, K=1, r=2, mult=50, sigma=0.0):

@@ -8,16 +8,7 @@ from mixsense import scaledtgd as tgd
 from mixsense.errors import InvalidInputError, PreconditionerSingularError
 from mixsense.initialization import FactorPair
 
-from helpers import two_pass_refine
-
-
-def manual_dataset(designs_flat, y, n1, n2):
-    return synth.Dataset(
-        n1=n1, n2=n2, sigma=0.0, seed=0,
-        y=np.asarray(y, dtype=float),
-        hidden_labels=np.zeros(len(y), dtype=np.int64),
-        designs_flat=np.asarray(designs_flat, dtype=float).copy(),
-    )
+from helpers import BAD_INTS, BAD_NUMBERS, manual_dataset, two_pass_refine
 
 
 def exact_fit_dataset(rng, l, r, n_samples):
@@ -27,7 +18,7 @@ def exact_fit_dataset(rng, l, r, n_samples):
     n1, n2 = l.shape[0], r.shape[0]
     designs = rng.standard_normal((n_samples, n1 * n2))
     y = designs @ pair.product().ravel()
-    return manual_dataset(designs, y, n1, n2), pair
+    return manual_dataset(designs.reshape(-1, n1, n2), y), pair
 
 
 class TestResiduals:
@@ -36,7 +27,7 @@ class TestResiduals:
         assert (tgd._residual_pass(ds, [pair])[0] == 0.0).all()
 
     def test_scalar_case(self):
-        ds = manual_dataset([[2.0]], [1.0], 1, 1)
+        ds = manual_dataset([[[2.0]]], [1.0])
         pair = FactorPair(l=np.array([[1.0]]), r=np.array([[1.0]]))
         np.testing.assert_array_equal(tgd._residual_pass(ds, [pair])[0], [1.0])
 
@@ -49,7 +40,7 @@ class TestResiduals:
         delta = FactorPair(l, r).product() - m_true
         designs = rng.standard_normal((100_000, n * n))
         y = designs @ m_true.ravel() + sigma * rng.standard_normal(100_000)
-        ds = manual_dataset(designs, y, n, n)
+        ds = manual_dataset(designs.reshape(-1, n, n), y)
         res = tgd._residual_pass(ds, [FactorPair(l, r)])[0]
         expected = np.linalg.norm(delta) ** 2 + sigma**2
         assert abs(np.var(res) - expected) / expected < 0.05
@@ -61,7 +52,7 @@ class TestResiduals:
         N, nn = 1061, n * n // 2
         designs = rng.standard_normal((N, nn))
         y = rng.standard_normal(N)
-        ds = manual_dataset(designs, y, n, n // 2)
+        ds = manual_dataset(designs.reshape(-1, n, n // 2), y)
         pair = FactorPair(l=rng.standard_normal((n, 2)), r=rng.standard_normal((n // 2, 2)))
         pvec = pair.product().ravel()
         expected = np.concatenate(
@@ -118,7 +109,7 @@ class TestStep:
         assert out.trace.taus[0] == 0.0
 
     def test_scalar_hand_computation(self):
-        ds = manual_dataset([[1.0]], [0.0], 1, 1)
+        ds = manual_dataset([[[1.0]]], [0.0])
         pair = FactorPair(l=np.array([[1.0]]), r=np.array([[1.0]]))
         out = tgd.refine_components(ds, [pair], [tgd.TgdConfig(eta=0.5, alpha=1.0, t0=1)])[0]
         assert out.final.l[0, 0] == 0.5 and out.final.r[0, 0] == 0.5
@@ -134,7 +125,7 @@ class TestStep:
         designs = rng.standard_normal((600, n1 * n2))
         labels = np.repeat([0, 1], 300)
         y = np.where(labels == 0, designs @ pair.product().ravel(), designs @ m2.ravel())
-        ds = manual_dataset(designs, y, n1, n2)
+        ds = manual_dataset(designs.reshape(-1, n1, n2), y)
         out = tgd.refine_components(ds, [pair], [tgd.TgdConfig(eta=2.6, alpha=0.4, t0=1)])[0]
         assert out.trace.taus[0] == 0.0 and out.trace.kept_counts[0] == 300
         assert (out.final.l == pair.l).all() and (out.final.r == pair.r).all()
@@ -153,7 +144,7 @@ class TestStep:
         n1, n2, r = 6, 5, 2
         designs = rng.standard_normal((400, n1 * n2))
         m_true = rng.standard_normal((n1, n2))
-        ds = manual_dataset(designs, designs @ m_true.ravel(), n1, n2)
+        ds = manual_dataset(designs.reshape(-1, n1, n2), designs @ m_true.ravel())
         for _ in range(100):
             l = rng.standard_normal((n1, r))
             rr = rng.standard_normal((n2, r))
@@ -197,7 +188,7 @@ class TestRun:
             v = np.linalg.qr(g.standard_normal((n, r)))[0]
             m = u @ np.diag([float(kappa), 1.0]) @ v.T
             designs = g.standard_normal((50 * n * r, n * n))
-            ds = manual_dataset(designs, designs @ m.ravel(), n, n)
+            ds = manual_dataset(designs.reshape(-1, n, n), designs @ m.ravel())
             sub = spectral.subspace_estimate(spectral.data_matrix(ds), r)
             root = np.sqrt(sub.singular_values[:r])
             f0 = FactorPair(sub.u * root, sub.v * root)
@@ -217,7 +208,7 @@ class TestRun:
             v = np.linalg.qr(g.standard_normal((n, r)))[0]
             m = u @ np.diag([1.5, 1.0]) @ v.T
             designs = g.standard_normal((50 * n * r, n * n))
-            ds = manual_dataset(designs, designs @ m.ravel(), n, n)
+            ds = manual_dataset(designs.reshape(-1, n, n), designs @ m.ravel())
             sub = spectral.subspace_estimate(spectral.data_matrix(ds), r)
             root = np.sqrt(sub.singular_values[:r])
             f0 = FactorPair(sub.u * root, sub.v * root)
@@ -261,6 +252,14 @@ class TestRun:
         for tol in (-1.0, float("nan")):
             with pytest.raises(InvalidInputError):
                 tgd.TgdConfig(eta=1.0, alpha=0.5, t0=1, early_stop_tol=tol)
+
+    @pytest.mark.parametrize("field, value", [
+        *((name, v) for name in ("eta", "alpha", "early_stop_tol") for v in BAD_NUMBERS),
+        *(("t0", v) for v in BAD_INTS),
+    ])
+    def test_config_bad_values(self, field, value):
+        with pytest.raises(InvalidInputError):
+            tgd.TgdConfig(**{"eta": 1.0, "alpha": 0.5, "t0": 1, field: value})
 
 
 def mixture_problem(stored_budget, N=2100, seed=5):

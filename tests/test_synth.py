@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import stacked_rows
+from helpers import BAD_INTS, BAD_NUMBERS, stacked_rows
 from mixsense import synth
 from mixsense.errors import InvalidInputError
 
@@ -62,6 +62,17 @@ class TestMakeGroundTruth:
             synth.make_ground_truth(4, 4, [2], [1.0], [[1.0, 2.0]], seed=0)  # ascending
         with pytest.raises(InvalidInputError):
             synth.make_ground_truth(4, 4, [5], [1.0], [[1.0] * 5], seed=0)
+
+    @pytest.mark.parametrize("field, value", [
+        *((name, v) for name in ("n1", "n2", "seed") for v in BAD_INTS),
+        *(("ranks", [v]) for v in BAD_INTS),
+        *(("proportions", [v]) for v in BAD_NUMBERS),
+        *(("spectra", [[v]]) for v in BAD_NUMBERS),
+    ])
+    def test_bad_values(self, field, value):
+        args = {"n1": 4, "n2": 4, "ranks": [1], "proportions": [1.0], "spectra": [[1.0]], "seed": 0}
+        with pytest.raises(InvalidInputError):
+            synth.make_ground_truth(**{**args, field: value})
 
     def test_deterministic(self):
         a = equal_mixture(10, 2, 2, seed=3)
@@ -284,6 +295,28 @@ class TestSampleDataset:
             make(np.array([0.0, np.nan, 0.0, 0.0]), np.zeros((4, 6)))
         with pytest.raises(InvalidInputError):
             make(np.zeros(4), np.zeros((0, 6)), seed=-1)  # rows cannot be regenerated
+
+    @pytest.mark.parametrize("field, value", [
+        *((name, v) for name in ("N", "seed", "stored_budget") for v in BAD_INTS),
+        *(("sigma", v) for v in BAD_NUMBERS),
+    ])
+    def test_sample_bad_values(self, field, value):
+        gt = equal_mixture(4, K=1, r=1)
+        args = {"N": 5, "sigma": 0.0, "seed": 0, "stored_budget": 80}
+        with pytest.raises(InvalidInputError):
+            synth.sample_dataset(gt, **{**args, field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        *((name, v) for name in ("n1", "n2", "seed") for v in BAD_INTS),
+        ("n1", 2.0), ("n2", 3.0),
+        *(("sigma", v) for v in BAD_NUMBERS),
+        ("hidden_labels", np.zeros(3, dtype=np.int64)),  # shorter than y
+    ])
+    def test_dataset_bad_values(self, field, value):
+        args = {"n1": 2, "n2": 3, "sigma": 0.0, "seed": 0, "y": np.zeros(4),
+                "hidden_labels": np.zeros(4, dtype=np.int64), "designs_flat": np.zeros((4, 6))}
+        with pytest.raises(InvalidInputError):
+            synth.Dataset(**{**args, field: value})
 
     def test_deterministic(self):
         gt = equal_mixture(5, K=2, r=1, seed=1)
