@@ -54,6 +54,14 @@ def check_finite(value, name: str) -> float:
     return float(value)
 
 
+def check_seq(value, name: str) -> tuple:
+    """Return `value` as a tuple if it can be iterated."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be a sequence, got {value!r}") from None
+
+
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-major vectorization of a matrix."""
     return np.asarray(m).reshape(-1, order="F")

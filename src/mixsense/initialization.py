@@ -86,8 +86,13 @@ def estimate_component_ranks(s_hats: Sequence[np.ndarray]) -> List[int]:
 
 @dataclass(frozen=True)
 class InitializationResult:
+    """The lifted factors, the mixed-regression estimate, and the signed
+    residuals ``<A_i, l r^T> - y_i`` of each lifted product, one row per
+    component, over the dataset that stage 2 read."""
+
     factors: List[FactorPair]
     mlr: MlrEstimate
+    residuals: np.ndarray  # (K, N)
 
 
 def initialize_all(
@@ -104,6 +109,10 @@ def initialize_all(
     :func:`estimate_component_ranks`. Components come back in the
     extraction order of the tensor method; alignment to any ground truth is
     the caller's concern.
+
+    The residuals need no design read: a lifted product lies in the
+    subspaces, so ``<A_i, l r^T> = <a_i, vec((u^T l)(v^T r)^T)>`` up to
+    rounding, and each component's row depends only on its own factors.
     """
     if ranks is not None:
         if k_components not in (None, len(ranks)):
@@ -121,4 +130,8 @@ def initialize_all(
     factors = [
         lift_and_factor(mlr.betas[k], sub, int(ranks[k])) for k in range(k_components)
     ]
-    return InitializationResult(factors=factors, mlr=mlr)
+    residuals = np.empty((k_components, dataset.N))
+    for f, row in zip(factors, residuals):
+        np.matmul(samples.a, core.vec((sub.u.T @ f.l) @ (sub.v.T @ f.r).T), out=row)
+    residuals -= samples.y
+    return InitializationResult(factors=factors, mlr=mlr, residuals=residuals)

@@ -44,7 +44,7 @@ class PipelineConfig:
         for name in ("supplied_ranks", "supplied_proportions"):
             val = getattr(self, name)
             if val is not None:
-                object.__setattr__(self, name, tuple(val))
+                object.__setattr__(self, name, core.check_seq(val, name))
                 if len(getattr(self, name)) != self.k_components:
                     raise InvalidInputError(f"{name} must have length {self.k_components}")
         for r in self.supplied_ranks or ():
@@ -172,9 +172,11 @@ def run_pipeline(
     Stage 3 refines all components together on `d_main`, with the
     step policy of :func:`default_params` applied to
     `cfg.supplied_proportions`, or to the stage-2 mixture weights when none
-    are supplied. `truth` is read only for evaluation: trace targets,
-    initialization errors, the component alignment and the subspace
-    distances; it never feeds back into the solver.
+    are supplied. When stage 2 read `d_main`, its residuals are stage 3's
+    first, so a budget of `cfg.t0` steps makes `cfg.t0` residual passes.
+    `truth` is read only for evaluation: trace targets, initialization
+    errors, the component alignment and the subspace distances; it never
+    feeds back into the solver.
     """
     K = cfg.k_components
     with _stage("stage1"):
@@ -202,7 +204,8 @@ def run_pipeline(
     )
     with _stage("stage3"):
         runs = refine_components(
-            d_main, init.factors, default_params(proportions, cfg), trace_targets
+            d_main, init.factors, default_params(proportions, cfg), trace_targets,
+            init.residuals if d_mlr is None else None,
         )
 
     estimates = [run.final.product() for run in runs]

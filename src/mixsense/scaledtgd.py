@@ -156,6 +156,7 @@ def refine_components(
     inits: Sequence[FactorPair],
     cfgs: Sequence[TgdConfig],
     truths: Optional[Sequence[Optional[np.ndarray]]] = None,
+    first_residuals: Optional[np.ndarray] = None,
 ) -> List[TgdRun]:
     """Iterate the truncated update of all components in lockstep, each until
     its own budget or early stop. In each step (:func:`_update`) both factors
@@ -173,11 +174,19 @@ def refine_components(
     A component reads only its own residuals and levels, so its result is
     bit-identical to its solo run. Trace rows of component k log the error
     against `truths[k]`, if given.
+
+    Iteration 0 takes its residuals from `first_residuals`, a (K, N) array
+    whose row k holds ``<A_i, l r^T> - y_i`` of `inits[k]` (as
+    :func:`initialize_all` returns them), in place of a residual pass; only
+    its gradient pass reads the designs. Without it, iteration 0 makes a
+    residual pass like every other iteration.
     """
     K, N = len(inits), dataset.N
     truths = [None] * K if truths is None else list(truths)
     if len(cfgs) != K or len(truths) != K:
         raise InvalidInputError("need one config and one truth slot per component")
+    if first_residuals is not None and np.shape(first_residuals) != (K, N):
+        raise InvalidInputError(f"first_residuals must have shape {(K, N)}")
     factors = list(inits)
     traces = [TgdTrace(stop_reason="budget" if cfg.t0 == 0 else None) for cfg in cfgs]
     pending = list(range(K))  # components whose current iterate has no trace row yet
@@ -189,8 +198,11 @@ def refine_components(
             if traces[k].stop_reason is None and len(taus) > 1 and taus[-1] > 0 and taus[-2] > 0:
                 guess[j] = taus[-1] * (taus[-1] / taus[-2])
         sums = np.zeros((len(pending), dataset.n1 * dataset.n2))
-        res = _residual_pass(dataset, [factors[k] for k in pending],
-                             [(j, (1 - BAND) * tau, sums[j]) for j, tau in guess.items()])
+        if t == 0 and first_residuals is not None:
+            res = np.array(first_residuals, dtype=np.float64)  # no level is predicted yet
+        else:
+            res = _residual_pass(dataset, [factors[k] for k in pending],
+                                 [(j, (1 - BAND) * tau, sums[j]) for j, tau in guess.items()])
         active, bands, missed, needed = [], [], [], np.zeros(N, dtype=bool)
         for j, (k, row) in enumerate(zip(pending, res)):
             abs_row = np.abs(row)

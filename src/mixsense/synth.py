@@ -117,6 +117,9 @@ def make_ground_truth(
     Component k draws its column and row bases from independent substreams
     of `seed`, so the whole object is reproducible.
     """
+    ranks = core.check_seq(ranks, "ranks")
+    proportions = core.check_seq(proportions, "proportions")
+    spectra = core.check_seq(spectra, "spectra")
     K = len(ranks)
     if not (len(proportions) == len(spectra) == K) or K < 1:
         raise InvalidInputError("ranks, proportions, spectra must have equal nonzero length")
@@ -237,18 +240,26 @@ class Dataset:
         wholly stored block is a view of `designs_flat`; otherwise its stored
         rows are copied and the rest regenerated from `seed`, except that
         with a boolean mask `needed` over the samples, unstored rows outside
-        it read as zeros."""
+        it read as zeros.
+
+        The blocks that are not wholly stored share one buffer, allocated
+        once per call: each is overwritten by the next, so a caller that
+        keeps rows past the next block must copy them."""
+        shape = (min(BLOCK, self.N), self.n1 * self.n2)
+        buf = np.empty(shape) if self.stored_rows < self.N else None
         for lo in range(0, self.N, BLOCK):
             hi = min(lo + BLOCK, self.N)
             if hi <= self.stored_rows:
                 yield lo, hi, self.designs_flat[lo:hi]
                 continue
-            rows = np.zeros((hi - lo, self.n1 * self.n2))
+            rows = buf[: hi - lo]
             kept = max(self.stored_rows - lo, 0)
             rows[:kept] = self.designs_flat[lo:hi]
             at = np.arange(kept, hi - lo)
             if needed is not None:
-                at = at[needed[lo + kept : hi]]
+                inside = needed[lo + kept : hi]
+                rows[at[~inside]] = 0.0
+                at = at[inside]
             _draw_rows(self.seed, lo + at, rows, at)
             yield lo, hi, rows
 

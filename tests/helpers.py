@@ -32,9 +32,9 @@ def manual_dataset(designs, y):
 
 
 def stacked_rows(dataset, indices) -> np.ndarray:
-    """Design rows of the given samples, stacked from every block the
-    dataset yields."""
-    return np.vstack([rows for _, _, rows in dataset.iter_design_blocks()])[indices]
+    """Design rows of the given samples, stacked from copies of every block
+    the dataset yields (the next block may overwrite a regenerated one)."""
+    return np.vstack([rows.copy() for _, _, rows in dataset.iter_design_blocks()])[indices]
 
 
 def std_normal_pdf(x: float) -> float:

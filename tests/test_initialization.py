@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import manual_dataset, stacked_rows
-from mixsense import core, initialization as ini, spectral, synth
+from mixsense import core, initialization as ini, scaledtgd, spectral, synth
 from mixsense.errors import InvalidInputError, RankDeficientInitError
 from mixsense.spectral import SubspaceEstimate
 
@@ -186,3 +186,29 @@ class TestInitializeAll:
             ini.initialize_all(ds, sub, ranks=None, seed=0)
         with pytest.raises(InvalidInputError):
             ini.initialize_all(ds, sub, ranks=[1, 1], seed=0, k_components=3)
+
+    def test_residuals_match_a_design_pass(self):
+        # the desk problem: n = 40, K = 3, rank 2, N = 90 n r K
+        K, r, n = 3, 2, 40
+        gt = synth.make_ground_truth(n, n, [r] * K, [1 / K] * K, [[1.0] * r] * K, seed=0)
+        ds = synth.sample_dataset(gt, 90 * n * r * K, 0.0, seed=0)
+        sub = spectral.subspace_estimate(spectral.data_matrix(ds), K * r)
+        init = ini.initialize_all(ds, sub, ranks=[r] * K, seed=0)
+        passed = scaledtgd._residual_pass(ds, init.factors)
+        assert init.residuals.shape == passed.shape == (K, ds.N)
+        for mine, ref in zip(init.residuals, passed):
+            assert np.abs(mine - ref).max() <= 1e-13 * np.abs(ref).max()
+            kept = scaledtgd.truncation_set(np.abs(mine), 0.8 / K).indices
+            assert (kept == scaledtgd.truncation_set(np.abs(ref), 0.8 / K).indices).all()
+
+    def test_residuals_do_not_depend_on_storage(self):
+        gt = synth.make_ground_truth(6, 6, [1, 1], [0.5, 0.5], [[1.0], [1.0]], seed=5)
+        results = []
+        # all rows stored, a prefix that ends inside the second block, none
+        for rows in (2100, 1500, 0):
+            ds = synth.sample_dataset(gt, 2100, 0.1, seed=5, stored_budget=rows * 36)
+            assert ds.stored_rows == rows
+            sub = spectral.subspace_estimate(spectral.data_matrix(ds), 2)
+            results.append(ini.initialize_all(ds, sub, ranks=[1, 1], seed=0).residuals)
+        for other in results[1:]:
+            assert other.tobytes() == results[0].tobytes()

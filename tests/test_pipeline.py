@@ -118,6 +118,7 @@ class TestPipelineConfig:
         *(("early_stop_tol", v) for v in BAD_NUMBERS),
         *(("supplied_ranks", (v,)) for v in BAD_INTS),
         *(("supplied_proportions", (v,)) for v in BAD_NUMBERS),
+        ("supplied_ranks", 5), ("supplied_proportions", 0.5),
     ])
     def test_bad_values(self, field, value):
         with pytest.raises(InvalidInputError):
@@ -204,6 +205,43 @@ class TestRunPipeline:
         assert rep.stage1.r_used == 2
         pl.run_pipeline(ds, None, cfg, truth=gt)
         assert len(seen) == 2 and seen[0] is ds2 and seen[1] is ds
+
+    def test_stage2_residuals_save_one_pass(self, monkeypatch):
+        gt, ds = desk_problem(seed=3)
+        ds2 = synth.sample_dataset(gt, ds.N, 0.0, seed=103)
+        calls, real_pass = [], scaledtgd._residual_pass
+
+        def counting_pass(*args, **kwargs):
+            calls.append(1)
+            return real_pass(*args, **kwargs)
+
+        monkeypatch.setattr(scaledtgd, "_residual_pass", counting_pass)
+        cfg = pl.PipelineConfig(k_components=1, supplied_ranks=(2,), supplied_proportions=(1.0,),
+                                t0=7, seed=3)
+        pl.run_pipeline(ds, None, cfg, truth=None)
+        assert len(calls) == 7
+        # stage 2's residuals describe d_mlr, so stage 3 makes its own first pass
+        pl.run_pipeline(ds, ds2, cfg, truth=None)
+        assert len(calls) == 7 + 8
+
+    def test_stage3_after_d_mlr_reads_its_own_residuals(self, monkeypatch):
+        gt, ds = desk_problem(seed=3, K=2, n=12, mult=60)
+        ds2 = synth.sample_dataset(gt, ds.N, 0.0, seed=103)
+        seen, real_refine = [], pl.refine_components
+
+        def watching_refine(*args):
+            seen.append((args, real_refine(*args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(pl, "refine_components", watching_refine)
+        cfg = pl.PipelineConfig(k_components=2, supplied_ranks=(2, 2), t0=12, seed=3)
+        pl.run_pipeline(ds, ds2, cfg, truth=gt)
+        (d_main, inits, cfgs, targets, _), runs = seen[0]
+        again = real_refine(d_main, inits, cfgs, targets)
+        for a, b in zip(runs, again):
+            assert a.final.l.tobytes() == b.final.l.tobytes()
+            assert a.final.r.tobytes() == b.final.r.tobytes()
+            assert a.trace == b.trace
 
     def test_stage2_on_d_mlr_then_recovers(self, monkeypatch):
         gt, ds = desk_problem(seed=4)

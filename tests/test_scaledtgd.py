@@ -301,6 +301,39 @@ class TestRefineComponents:
             assert same_run(run, tgd.refine_components(ds, [f0], [cfg], [truth])[0])
             assert run.trace.rel_errors[-1] < run.trace.rel_errors[0]
 
+    def test_first_residuals_replace_the_first_pass(self, monkeypatch):
+        gt, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
+        first = tgd._residual_pass(ds, inits)
+        plain = tgd.refine_components(ds, inits, cfgs, gt.matrices())
+        calls, real_pass = [], tgd._residual_pass
+
+        def counting_pass(*args, **kwargs):
+            calls.append(1)
+            return real_pass(*args, **kwargs)
+
+        monkeypatch.setattr(tgd, "_residual_pass", counting_pass)
+        given = tgd.refine_components(ds, inits, cfgs, gt.matrices(), first)
+        # iteration 0 adds no sums to its residual pass, so handing over that
+        # pass's own residuals changes no bit and saves the pass
+        assert all(same_run(a, b) for a, b in zip(plain, given))
+        assert len(calls) == max(len(run.trace) for run in given) - 1
+
+    def test_first_residuals_each_component_matches_its_solo_run(self):
+        gt, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
+        # residuals off by a rounding-sized amount, as stage 2's are
+        first = tgd._residual_pass(ds, inits) * (1 + 1e-14)
+        fused = tgd.refine_components(ds, inits, cfgs, gt.matrices(), first)
+        for k, (run, truth) in enumerate(zip(fused, gt.matrices())):
+            solo = tgd.refine_components(ds, [inits[k]], [cfgs[k]], [truth], first[k : k + 1])
+            assert same_run(run, solo[0])
+
+    def test_first_residuals_shape_checked(self):
+        _, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
+        first = tgd._residual_pass(ds, inits)
+        for bad in (first[:2], first[:, :-1], first[0], first.T):
+            with pytest.raises(InvalidInputError):
+                tgd.refine_components(ds, inits, cfgs, first_residuals=bad)
+
     def test_storage_does_not_change_bits(self):
         runs = []
         for rows in (2100, 1500, 0):  # stored, prefix ending inside a block, streamed

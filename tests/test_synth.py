@@ -68,6 +68,7 @@ class TestMakeGroundTruth:
         *(("ranks", [v]) for v in BAD_INTS),
         *(("proportions", [v]) for v in BAD_NUMBERS),
         *(("spectra", [[v]]) for v in BAD_NUMBERS),
+        ("ranks", 5), ("proportions", 1.0), ("spectra", 1.0),
     ])
     def test_bad_values(self, field, value):
         args = {"n1": 4, "n2": 4, "ranks": [1], "proportions": [1.0], "spectra": [[1.0]], "seed": 0}
@@ -199,7 +200,7 @@ class TestSampleDataset:
             assert (stored.y == other.y).all()
             assert (stored.hidden_labels == other.hidden_labels).all()
             assert (stacked_rows(stored, idx) == stacked_rows(other, idx)).all()
-            blocks = list(other.iter_design_blocks())
+            blocks = [(lo, hi, rows.copy()) for lo, hi, rows in other.iter_design_blocks()]
             assert len(blocks) == 3
             for (lo1, hi1, b1), (lo2, hi2, b2) in zip(stored.iter_design_blocks(), blocks):
                 assert lo1 == lo2 and hi1 == hi2 and (b1 == b2).all()
@@ -212,8 +213,8 @@ class TestSampleDataset:
         truth = synth.sample_dataset(gt, N=N, sigma=0.0, seed=3, stored_budget=N * nn)
         needed = np.random.default_rng(0).random(N) < 0.3
         stored = np.arange(N) < ds.stored_rows
-        full = np.vstack([rows for _, _, rows in ds.iter_design_blocks()])
-        masked = np.vstack([rows for _, _, rows in ds.iter_design_blocks(needed)])
+        full = np.vstack([rows.copy() for _, _, rows in ds.iter_design_blocks()])
+        masked = np.vstack([rows.copy() for _, _, rows in ds.iter_design_blocks(needed)])
         assert (full == truth.designs_flat).all()
         # stored rows whatever the mask says, inside and outside it
         assert (masked[stored] == full[stored]).all()
