@@ -59,7 +59,8 @@ class MlrEstimate:
     """
 
     betas: np.ndarray         # (K, d)
-    weights: np.ndarray       # (K,)
+    weights: np.ndarray       # (K,), 1 / eigenvalues**2
+    eigenvalues: np.ndarray   # (K,) tensor eigenvalues lam, in extraction order
     weight_flagged: np.ndarray  # (K,) bool
     whitening_ratio: float    # s_K / s_1 of the whitened second moment
 
@@ -232,7 +233,7 @@ def unwhiten(pairs: List[Tuple[float, np.ndarray]], whitening: Whitening) -> Mlr
             "estimates kept but flagged",
             RuntimeWarning,
         )
-    return MlrEstimate(betas=betas, weights=weights, weight_flagged=flagged,
+    return MlrEstimate(betas=betas, weights=weights, eigenvalues=lams, weight_flagged=flagged,
                        whitening_ratio=whitening.ratio)
 
 

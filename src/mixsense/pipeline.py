@@ -102,6 +102,8 @@ class Stage1Report:
 class Stage2Report:
     whitening_ratio: float          # s_K / s_1 of the whitened second moment
     weight_flagged: List[bool]      # weights above the flag bound
+    eigenvalues: List[float]        # tensor eigenvalues lam; weight = 1 / lam^2
+    ranks: List[int]                # component ranks used, supplied or estimated
 
 
 @dataclass
@@ -172,8 +174,9 @@ def run_pipeline(
     Stage 3 refines all components together on `d_main`, with the
     step policy of :func:`default_params` applied to
     `cfg.supplied_proportions`, or to the stage-2 mixture weights when none
-    are supplied. When stage 2 read `d_main`, its residuals are stage 3's
-    first, so a budget of `cfg.t0` steps makes `cfg.t0` residual passes.
+    are supplied. A budget of `cfg.t0` steps makes `cfg.t0 - 1` residual
+    passes when stage 2 read `d_main`, since its residuals are stage 3's
+    first, and `cfg.t0` otherwise: the final iterate takes no step.
     `truth` is read only for evaluation: trace targets, initialization
     errors, the component alignment and the subspace distances; it never
     feeds back into the solver.
@@ -235,6 +238,7 @@ def run_pipeline(
         ],
         stage1=Stage1Report(sub.r_joint, sub.singular_values[: sub.r_joint + 1].tolist(),
                             spectral.gap_ratio(sub.singular_values, sub.r_joint), dist_u, dist_v),
-        stage2=Stage2Report(init.mlr.whitening_ratio, init.mlr.weight_flagged.tolist()),
+        stage2=Stage2Report(init.mlr.whitening_ratio, init.mlr.weight_flagged.tolist(),
+                            init.mlr.eigenvalues.tolist(), [f.l.shape[1] for f in init.factors]),
         weights=init.mlr.weights.copy(),
     )

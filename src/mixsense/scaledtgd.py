@@ -40,19 +40,20 @@ class TgdConfig:
 class TgdTrace:
     """Per-iterate records; row t describes the t-th iterate (row 0 is the
     initialization), including the truncation level and kept-sample count
-    computed at that iterate."""
+    computed at that iterate. The final iterate takes no step, so both are
+    None in its row: null in report.json, an empty cell in trace.csv."""
 
     iters: List[int] = field(default_factory=list)
-    taus: List[float] = field(default_factory=list)
-    kept_counts: List[int] = field(default_factory=list)
+    taus: List[Optional[float]] = field(default_factory=list)
+    kept_counts: List[Optional[int]] = field(default_factory=list)
     rel_errors: List[Optional[float]] = field(default_factory=list)
     stop_reason: Optional[str] = None  # "budget", "early_stop" or "singular_preconditioner"
     fallbacks: int = 0  # iterations whose level missed its predicted band
 
-    def append(self, t: int, tau: float, kept: int, rel_error: Optional[float]):
+    def append(self, t: int, tau: Optional[float], kept: Optional[int], rel_error: Optional[float]):
         self.iters.append(int(t))
-        self.taus.append(float(tau))
-        self.kept_counts.append(int(kept))
+        self.taus.append(None if tau is None else float(tau))
+        self.kept_counts.append(None if kept is None else int(kept))
         self.rel_errors.append(None if rel_error is None else float(rel_error))
 
     def __len__(self) -> int:
@@ -63,12 +64,9 @@ class TgdTrace:
 
     def to_json_dict(self) -> dict:
         """The stop reason, the fallback count and one object per row."""
-        return {
-            "stop_reason": self.stop_reason,
-            "fallbacks": self.fallbacks,
-            "trace": [{"iter": t, "tau": tau, "kept": kept, "rel_error": err}
-                      for t, tau, kept, err in self.rows()],
-        }
+        return {"stop_reason": self.stop_reason, "fallbacks": self.fallbacks,
+                "trace": [{"iter": t, "tau": tau, "kept": kept, "rel_error": err}
+                          for t, tau, kept, err in self.rows()]}
 
 
 class TruncationSet(NamedTuple):
@@ -146,9 +144,8 @@ def _update(factors: FactorPair, grad: np.ndarray, scale: float) -> FactorPair:
     ``r - scale * G^T l (l^T l)^-1`` for the gradient sum G."""
     inv_rr = _gram_solve_factor(factors.r)
     inv_ll = _gram_solve_factor(factors.l)
-    l_next = factors.l - scale * (grad @ (factors.r @ inv_rr))
-    r_next = factors.r - scale * (grad.T @ (factors.l @ inv_ll))
-    return FactorPair(l=l_next, r=r_next)
+    return FactorPair(l=factors.l - scale * (grad @ (factors.r @ inv_rr)),
+                      r=factors.r - scale * (grad.T @ (factors.l @ inv_ll)))
 
 
 def refine_components(
@@ -161,7 +158,10 @@ def refine_components(
     """Iterate the truncated update of all components in lockstep, each until
     its own budget or early stop. In each step (:func:`_update`) both factors
     read the incoming iterate, the gradient sums over the truncation set,
-    and the normalization is 1/N, whatever the number of samples kept.
+    and the normalization is 1/N, whatever the number of samples kept. A
+    component's final iterate takes no step: it reads no design, and its
+    trace row holds only the error. So a budget of t0 steps makes t0
+    residual passes, t0 - 1 with `first_residuals`.
 
     From the third iterate on, the level is predicted as
     ``tau_hat = tau_{t-1}^2 / tau_{t-2}`` (the error contracts linearly),
@@ -177,9 +177,7 @@ def refine_components(
 
     Iteration 0 takes its residuals from `first_residuals`, a (K, N) array
     whose row k holds ``<A_i, l r^T> - y_i`` of `inits[k]` (as
-    :func:`initialize_all` returns them), in place of a residual pass; only
-    its gradient pass reads the designs. Without it, iteration 0 makes a
-    residual pass like every other iteration.
+    :func:`initialize_all` returns them), in place of a residual pass.
     """
     K, N = len(inits), dataset.N
     truths = [None] * K if truths is None else list(truths)
@@ -187,31 +185,33 @@ def refine_components(
         raise InvalidInputError("need one config and one truth slot per component")
     if first_residuals is not None and np.shape(first_residuals) != (K, N):
         raise InvalidInputError(f"first_residuals must have shape {(K, N)}")
-    factors = list(inits)
-    traces = [TgdTrace(stop_reason="budget" if cfg.t0 == 0 else None) for cfg in cfgs]
-    pending = list(range(K))  # components whose current iterate has no trace row yet
-    t = 0
-    while pending:
-        guess = {}  # pending row -> predicted level
-        for j, k in enumerate(pending):
-            taus = traces[k].taus
-            if traces[k].stop_reason is None and len(taus) > 1 and taus[-1] > 0 and taus[-2] > 0:
-                guess[j] = taus[-1] * (taus[-1] / taus[-2])
-        sums = np.zeros((len(pending), dataset.n1 * dataset.n2))
+    factors, traces = list(inits), [TgdTrace() for _ in cfgs]
+
+    def error(k):
+        return None if truths[k] is None else core.rel_fro_error(factors[k].product(), truths[k])
+
+    def stop(k, t, reason):  # a final iterate takes no step, so its row has no level
+        traces[k].append(t, None, None, error(k))
+        traces[k].stop_reason = reason
+
+    for k in [k for k, cfg in enumerate(cfgs) if cfg.t0 == 0]:
+        stop(k, 0, "budget")
+    stepping, t = [k for k, cfg in enumerate(cfgs) if cfg.t0 > 0], 0  # iterates that take a step
+    while stepping:
+        guess = {j: taus[-1] * (taus[-1] / taus[-2])  # stepping row -> predicted level
+                 for j, taus in enumerate(traces[k].taus for k in stepping)
+                 if len(taus) > 1 and taus[-1] > 0 and taus[-2] > 0}
+        sums = np.zeros((len(stepping), dataset.n1 * dataset.n2))
         if t == 0 and first_residuals is not None:
-            res = np.array(first_residuals, dtype=np.float64)  # no level is predicted yet
+            res = np.asarray(first_residuals, dtype=np.float64)[stepping]  # no level is predicted yet
         else:
-            res = _residual_pass(dataset, [factors[k] for k in pending],
+            res = _residual_pass(dataset, [factors[k] for k in stepping],
                                  [(j, (1 - BAND) * tau, sums[j]) for j, tau in guess.items()])
-        active, bands, missed, needed = [], [], [], np.zeros(N, dtype=bool)
-        for j, (k, row) in enumerate(zip(pending, res)):
+        bands, missed, needed = [], [], np.zeros(N, dtype=bool)
+        for j, (k, row) in enumerate(zip(stepping, res)):
             abs_row = np.abs(row)
             trunc = truncation_set(abs_row, cfgs[k].alpha)
-            err = None if truths[k] is None else core.rel_fro_error(factors[k].product(), truths[k])
-            traces[k].append(t, trunc.tau, trunc.indices.size, err)
-            if traces[k].stop_reason is not None:
-                continue
-            active.append(j)
+            traces[k].append(t, trunc.tau, trunc.indices.size, error(k))
             cut = (1 - BAND) * guess.get(j, 0.0)
             if cut < trunc.tau <= (1 + BAND) * guess.get(j, 0.0):
                 bands.append((j, (abs_row > cut) & (abs_row <= trunc.tau), sums[j]))
@@ -224,8 +224,8 @@ def refine_components(
             _band_pass(dataset, res, bands)
         if missed:
             _design_pass(dataset, res, [], missed, needed)
-        for j in active:
-            k = pending[j]
+        steps, stepping = stepping, []
+        for j, k in enumerate(steps):
             f, cfg = factors[k], cfgs[k]
             try:
                 factors[k] = _update(f, sums[j].reshape(dataset.n1, dataset.n2), cfg.eta / N)
@@ -234,10 +234,10 @@ def refine_components(
                 raise PreconditionerSingularError(str(exc), trace=traces[k]) from exc
             prod = f.product()
             change = np.linalg.norm(factors[k].product() - prod) / max(np.linalg.norm(prod), 1e-300)
-            if cfg.early_stop_tol > 0.0 and change < cfg.early_stop_tol:
-                traces[k].stop_reason = "early_stop"
-            elif t + 1 == cfg.t0:
-                traces[k].stop_reason = "budget"
-        pending = [pending[j] for j in active]
+            early = cfg.early_stop_tol > 0.0 and change < cfg.early_stop_tol
+            if early or t + 1 == cfg.t0:
+                stop(k, t + 1, "early_stop" if early else "budget")
+            else:
+                stepping.append(k)
         t += 1
     return [TgdRun(final=f, trace=trace) for f, trace in zip(factors, traces)]

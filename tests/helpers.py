@@ -55,8 +55,9 @@ def truncated_gaussian_second_moment(x: float) -> float:
 
 def two_pass_refine(dataset, inits, cfgs, truths=None):
     """Reference stage 3: `scaledtgd.refine_components` with no predicted
-    level, so every iteration makes a full residual pass and then a full
-    gradient pass. Each component sums its kept rows in its own order."""
+    level, so every step makes a full residual pass and then a full gradient
+    pass. Each component sums its kept rows in its own order, and its final
+    iterate, which takes no step, gets a row with no level."""
 
     def slices(needed=None):
         for lo, hi, rows in dataset.iter_design_blocks(needed):
@@ -66,29 +67,37 @@ def two_pass_refine(dataset, inits, cfgs, truths=None):
     K, N = len(inits), dataset.N
     truths = [None] * K if truths is None else list(truths)
     factors = list(inits)
-    traces = [tgd.TgdTrace(stop_reason="budget" if cfg.t0 == 0 else None) for cfg in cfgs]
-    pending, t = list(range(K)), 0
-    while pending:
-        res = np.empty((len(pending), N))
-        pvecs = [factors[k].product().ravel() for k in pending]
+    traces = [tgd.TgdTrace() for _ in cfgs]
+
+    def error(k):
+        return None if truths[k] is None else core.rel_fro_error(factors[k].product(), truths[k])
+
+    def stop(k, t, reason):
+        traces[k].append(t, None, None, error(k))
+        traces[k].stop_reason = reason
+
+    for k in [k for k, cfg in enumerate(cfgs) if cfg.t0 == 0]:
+        stop(k, 0, "budget")
+    active, t = [k for k, cfg in enumerate(cfgs) if cfg.t0 > 0], 0
+    while active:
+        res = np.empty((len(active), N))
+        pvecs = [factors[k].product().ravel() for k in active]
         for at, sub in slices():
             for row, pvec in zip(res, pvecs):
                 np.matmul(sub, pvec, out=row[at])
         res -= dataset.y
-        active, weights, needed = [], [], np.zeros(N, dtype=bool)
-        for k, row in zip(pending, res):
+        weights, needed = [], np.zeros(N, dtype=bool)
+        for k, row in zip(active, res):
             trunc = tgd.truncation_set(np.abs(row), cfgs[k].alpha)
-            err = None if truths[k] is None else core.rel_fro_error(factors[k].product(), truths[k])
-            traces[k].append(t, trunc.tau, trunc.indices.size, err)
-            if traces[k].stop_reason is None:
-                active.append(k)
-                weights.append(np.where(np.abs(row) <= trunc.tau, row, 0.0))
-                needed[trunc.indices] = True
+            traces[k].append(t, trunc.tau, trunc.indices.size, error(k))
+            weights.append(np.where(np.abs(row) <= trunc.tau, row, 0.0))
+            needed[trunc.indices] = True
         grads = np.zeros((len(active), dataset.n1 * dataset.n2))
-        for at, sub in slices(needed) if active else ():
+        for at, sub in slices(needed):
             for grad, w in zip(grads, weights):
                 grad += w[at] @ sub
-        for k, grad in zip(active, grads):
+        steps, active = active, []
+        for k, grad in zip(steps, grads):
             f, cfg = factors[k], cfgs[k]
             try:
                 factors[k] = tgd._update(f, grad.reshape(dataset.n1, dataset.n2), cfg.eta / N)
@@ -97,9 +106,10 @@ def two_pass_refine(dataset, inits, cfgs, truths=None):
                 raise
             prod = f.product()
             change = np.linalg.norm(factors[k].product() - prod) / max(np.linalg.norm(prod), 1e-300)
-            if cfg.early_stop_tol > 0.0 and change < cfg.early_stop_tol:
-                traces[k].stop_reason = "early_stop"
-            elif t + 1 == cfg.t0:
-                traces[k].stop_reason = "budget"
-        pending, t = active, t + 1
+            early = cfg.early_stop_tol > 0.0 and change < cfg.early_stop_tol
+            if early or t + 1 == cfg.t0:
+                stop(k, t + 1, "early_stop" if early else "budget")
+            else:
+                active.append(k)
+        t += 1
     return [tgd.TgdRun(final=f, trace=trace) for f, trace in zip(factors, traces)]

@@ -234,10 +234,14 @@ class TestTraceOutput:
         assert len(calls) == 2  # one solve per trial
         report = json.loads((out / "report.json").read_text())
         components = report["trials"][0]["report"]["per_component"]
+        # a null level or kept count (the final iterate's) is an empty cell
         expected = [
-            [str(r["iter"]), str(k), str(r["rel_error"]), str(r["tau"]), str(r["kept"])]
+            [str(r["iter"]), str(k)] + ["" if r[key] is None else str(r[key])
+                                        for key in ("rel_error", "tau", "kept")]
             for k, comp in enumerate(components) for r in comp["trace"]
         ]
+        assert [comp["trace"][-1]["tau"] for comp in components] == [None, None]
+        assert [comp["trace"][-1]["kept"] for comp in components] == [None, None]
         rows = read_csv(out / "trace.csv")
         assert rows[0] == ["iter", "component", "rel_error", "tau", "kept"]
         assert rows[1:] == expected

@@ -218,11 +218,13 @@ class TestRunPipeline:
         monkeypatch.setattr(scaledtgd, "_residual_pass", counting_pass)
         cfg = pl.PipelineConfig(k_components=1, supplied_ranks=(2,), supplied_proportions=(1.0,),
                                 t0=7, seed=3)
+        # seven steps, the first from stage 2's residuals; the final iterate
+        # takes no step and makes no pass
         pl.run_pipeline(ds, None, cfg, truth=None)
-        assert len(calls) == 7
+        assert len(calls) == 6
         # stage 2's residuals describe d_mlr, so stage 3 makes its own first pass
         pl.run_pipeline(ds, ds2, cfg, truth=None)
-        assert len(calls) == 7 + 8
+        assert len(calls) == 6 + 7
 
     def test_stage3_after_d_mlr_reads_its_own_residuals(self, monkeypatch):
         gt, ds = desk_problem(seed=3, K=2, n=12, mult=60)
@@ -300,9 +302,21 @@ class TestRunPipeline:
         assert parsed["stage2"] == {
             "whitening_ratio": rep.stage2.whitening_ratio,
             "weight_flagged": [bool(w > 1.5) for w in rep.weights],
+            "eigenvalues": rep.stage2.eigenvalues,
+            "ranks": [2],  # as supplied
         }
         assert parsed["stage2"]["whitening_ratio"] == 1.0  # K = 1: s_1 / s_1
         assert parsed["weights"] == rep.weights.tolist()
+        # the weights are 1 / lam^2 of the tensor eigenvalues
+        lams = np.array(parsed["stage2"]["eigenvalues"])
+        assert len(lams) == 1 and (lams > 0).all()
+        assert (1.0 / lams**2 == rep.weights).all()
+        # estimated ranks are reported the same way
+        cfg = pl.PipelineConfig(k_components=1, t0=1, seed=6)
+        assert pl.run_pipeline(ds, None, cfg).stage2.ranks == [2]
+        # the final iterate takes no step, so its level and kept count are null
+        final = parsed["per_component"][0]["trace"][-1]
+        assert final["iter"] == 15 and final["tau"] is None and final["kept"] is None
 
     def test_without_truth_no_evaluation_fields(self):
         gt, ds = desk_problem(seed=7)

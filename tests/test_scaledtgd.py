@@ -172,10 +172,13 @@ class TestRun:
         cfg = tgd.TgdConfig(eta=1.3, alpha=0.8, t0=12)
         out = tgd.refine_components(ds, [f0], [cfg], [gt.matrix(0)])[0]
         assert len(out.trace) == 13
-        for t, tau, kept, err in out.trace.rows():
+        rows = list(out.trace.rows())
+        for t, tau, kept, err in rows[:-1]:  # the iterates that step
             assert tau >= 0.0
             assert kept >= int(np.ceil(cfg.alpha * ds.N))
-            assert err is not None and err >= 0.0
+        # the final iterate takes no step, so it has no level
+        assert rows[-1][1:3] == (None, None)
+        assert all(err is not None and err >= 0.0 for *_, err in rows)
 
     def test_single_component_scaled_gd_regime(self):
         # alpha = 1 disables truncation; eta = 0.7 sits inside the stable
@@ -314,9 +317,10 @@ class TestRefineComponents:
         monkeypatch.setattr(tgd, "_residual_pass", counting_pass)
         given = tgd.refine_components(ds, inits, cfgs, gt.matrices(), first)
         # iteration 0 adds no sums to its residual pass, so handing over that
-        # pass's own residuals changes no bit and saves the pass
+        # pass's own residuals changes no bit and saves the pass; the final
+        # iterate takes no step and makes no pass
         assert all(same_run(a, b) for a, b in zip(plain, given))
-        assert len(calls) == max(len(run.trace) for run in given) - 1
+        assert len(calls) == max(len(run.trace) for run in given) - 2
 
     def test_first_residuals_each_component_matches_its_solo_run(self):
         gt, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
@@ -368,14 +372,16 @@ class TestRefineComponents:
             unstored = list(range(ds.stored_rows, ds.N))
             lengths = [len(run.trace) for run in runs]
             pos, fused, band_reads, fallbacks = 0, 0, 0, [0] * len(runs)
-            for t in range(max(lengths)):
-                pending = [k for k, n in enumerate(lengths) if t < n]
+            # no residual walk after the last update: the final iterates
+            # take no step
+            for t in range(max(lengths) - 1):
                 active = [k for k, n in enumerate(lengths) if t < n - 1]
-                # the residual pass: every unstored row once, for all components
+                # the residual pass: every unstored row once, for the
+                # components that step
                 assert events[pos : pos + len(unstored)] == unstored
                 pos += len(unstored)
-                seen = dict(zip(pending, events[pos : pos + len(pending)]))
-                pos += len(pending)
+                seen = dict(zip(active, events[pos : pos + len(active)]))
+                pos += len(active)
                 band_rows, kept_rows = set(), set()
                 for k in active:
                     kept, abs_res, tau = seen[k]
@@ -404,6 +410,60 @@ class TestRefineComponents:
             assert pos == len(events)
             assert fallbacks == [run.trace.fallbacks for run in runs]
             assert fused > 0 and band_reads > 0 and sum(fallbacks) > 0
+
+    def test_final_iterates_read_no_designs(self, monkeypatch):
+        gt, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
+        first = tgd._residual_pass(ds, inits)
+        events, passes = [], []
+        real_draw, real_blocks = synth._draw_rows, synth.Dataset.iter_design_blocks
+        real_update, real_pass = tgd._update, tgd._residual_pass
+
+        def draw(seed, idx, out, at):
+            events.append("draw")
+            return real_draw(seed, idx, out, at)
+
+        def blocks(self, needed=None):
+            events.append("read")
+            return real_blocks(self, needed)
+
+        def update(*args):
+            events.append("update")
+            return real_update(*args)
+
+        def residual_pass(dataset, factor_list, sums=()):
+            passes.append(len(factor_list))
+            return real_pass(dataset, factor_list, sums)
+
+        monkeypatch.setattr(synth, "_draw_rows", draw)
+        monkeypatch.setattr(synth.Dataset, "iter_design_blocks", blocks)
+        monkeypatch.setattr(tgd, "_update", update)
+        monkeypatch.setattr(tgd, "_residual_pass", residual_pass)
+        runs = tgd.refine_components(ds, inits, cfgs, gt.matrices(), first)
+        lengths = [len(run.trace) for run in runs]
+        assert [run.trace.stop_reason for run in runs] == ["budget", "early_stop", "budget"]
+        assert len(set(lengths)) == 3  # the components stop at different iterations
+        # no design read after the last update, and each residual pass
+        # covers only the components that step at its iterate
+        assert "draw" in events and events[-1] == "update"
+        assert len(passes) == max(lengths) - 2
+        assert passes == [sum(t < n - 1 for n in lengths) for t in range(1, max(lengths) - 1)]
+        for run in runs:
+            assert run.trace.taus[-1] is None and run.trace.kept_counts[-1] is None
+            assert None not in run.trace.taus[:-1] + run.trace.kept_counts[:-1]
+
+        # a t0 = 0 component reads no designs and gets one row with a null level
+        idle = tgd.TgdConfig(eta=3.9, alpha=0.8 / 3, t0=0)
+        events.clear()
+        passes.clear()
+        alone = tgd.refine_components(ds, inits[:1], [idle], gt.matrices()[:1])[0]
+        assert events == [] and passes == []
+        assert alone.final is inits[0] and alone.trace.stop_reason == "budget"
+        err = core.rel_fro_error(inits[0].product(), gt.matrix(0))
+        assert list(alone.trace.rows()) == [(0, None, None, err)]
+        # beside components that step, it is left out of every pass
+        mixed = tgd.refine_components(ds, inits, [idle, *cfgs[1:]], gt.matrices())
+        assert same_run(mixed[0], alone) and max(passes) == 2
+        assert all(same_run(a, b) for a, b in zip(mixed[1:], runs[1:]))
 
     def test_mismatched_lengths(self):
         _, ds, inits, cfgs = mixture_problem(stored_budget=0, N=60)
