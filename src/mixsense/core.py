@@ -13,7 +13,6 @@ import numbers
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInputError
 
@@ -87,7 +86,10 @@ def svd(m) -> SvdResult:
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
-        # gesdd occasionally fails to converge; gesvd is slower but sturdier
+        # gesdd occasionally fails to converge; gesvd is slower but sturdier.
+        # scipy loads only here, so that importing mixsense stays quick.
+        import scipy.linalg
+
         u, s, vt = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
     anchors = np.argmax(np.abs(u), axis=0)
     signs = np.where(u[anchors, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)

@@ -7,7 +7,6 @@ from dataclasses import asdict, dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.optimize
 
 from . import core, spectral
 from .errors import InvalidInputError, MixsenseError, PipelineStageError
@@ -74,7 +73,10 @@ class AlignmentResult(NamedTuple):
 
 def align_components(estimates: Sequence[np.ndarray], truths: Sequence[np.ndarray]) -> AlignmentResult:
     """Assignment of estimates to truths minimizing the summed relative
-    error, by linear assignment."""
+    error, by linear assignment. Only evaluation calls it, so scipy loads
+    here rather than with the package."""
+    import scipy.optimize
+
     if len(estimates) != len(truths) or not estimates:
         raise InvalidInputError("need equally many estimates and truths")
     K = len(truths)

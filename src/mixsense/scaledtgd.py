@@ -18,6 +18,10 @@ from .synth import SUB, Dataset
 
 # Relative half-width of the band around a predicted truncation level.
 BAND = 0.1
+# Rows of the weight block that each slice's gradient GEMM reads. It is fixed,
+# so a component's sum has the same bits whichever row holds its weights and
+# whatever the other rows hold, as in its solo run.
+WIDTH = 4
 
 
 @dataclass(frozen=True)
@@ -91,20 +95,32 @@ def _residual_pass(dataset: Dataset, factor_list: Sequence[FactorPair], sums=())
 
 def _design_pass(dataset: Dataset, res: np.ndarray, pvecs, sums, needed=None) -> None:
     """Walk the design blocks SUB rows at a time. Each slice, while in cache,
-    fills row j of `res` with the residuals of product vector ``pvecs[j]``,
-    then adds ``r_i A_i`` over its samples with ``|r_i| <= cut`` to `acc`,
-    for each ``(row, cut, acc)`` in `sums` and ``r = res[row]``. Unstored
-    rows outside `needed` read as zeros, which is exact for the sums when
-    it holds every row they keep."""
+    fills row j of `res` with the residuals of product vector ``pvecs[j]``
+    (one GEMV each, with the bits of the whole-block product that made y, so
+    fixed points stay bit-exact), then adds ``r_i A_i`` over its samples with
+    ``|r_i| <= cut`` to `acc`, for each ``(row, cut, acc)`` in `sums` and
+    ``r = res[row]``. The sums take one GEMM per slice and group of WIDTH
+    entries of `sums`: a zero-padded WIDTH-row weight block times the slice.
+    Unstored rows outside `needed` read as zeros, which is exact for the sums
+    when it holds every row they keep."""
+    groups = [sums[g : g + WIDTH] for g in range(0, len(sums), WIDTH)]
+    block = np.zeros((WIDTH, SUB))
+    grads = np.empty((WIDTH, dataset.n1 * dataset.n2))
     for lo, hi, rows in dataset.iter_design_blocks(needed):
         for s in range(0, hi - lo, SUB):
             sub, at = rows[s : s + SUB], slice(lo + s, min(lo + s + SUB, hi))
             for r, pvec in zip(res, pvecs):
                 np.matmul(sub, pvec, out=r[at])
             res[: len(pvecs), at] -= dataset.y[at]
-            for row, cut, acc in sums:
-                r = res[row, at]
-                acc += np.where(np.abs(r) <= cut, r, 0.0) @ sub
+            weights = block[:, : len(sub)]
+            for group in groups:
+                for w, (row, cut, _) in zip(weights, group):
+                    r = res[row, at]
+                    w[:] = np.where(np.abs(r) <= cut, r, 0.0)
+                weights[len(group) :] = 0.0
+                np.matmul(weights, sub, out=grads)
+                for grad, (_, _, acc) in zip(grads, group):
+                    acc += grad
 
 
 def truncation_set(abs_residuals: np.ndarray, alpha: float) -> TruncationSet:

@@ -26,6 +26,10 @@ and compute per-row products on `SUB`-row slices of a block. The BLAS GEMV
 kernel groups rows by 4, and every `BLOCK` and `SUB` boundary is a multiple
 of 4 from the first row, so a row's product has the same bits whether it is
 computed on a whole block (as `sample_dataset` does for y) or on a slice.
+Residuals therefore stay one GEMV per slice and vector. Stage 3's gradient
+sums are one GEMM per slice instead, a zero-padded weight block of fixed
+width times the slice; they need no match with y, only the same bits for a
+component in any row of the block.
 """
 
 from dataclasses import dataclass, field

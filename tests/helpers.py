@@ -56,7 +56,8 @@ def truncated_gaussian_second_moment(x: float) -> float:
 def two_pass_refine(dataset, inits, cfgs, truths=None):
     """Reference stage 3: `scaledtgd.refine_components` with no predicted
     level, so every step makes a full residual pass and then a full gradient
-    pass. Each component sums its kept rows in its own order, and its final
+    pass. Each component sums its kept rows in its own order, one
+    zero-padded WIDTH-row GEMM per slice as in the library, and its final
     iterate, which takes no step, gets a row with no level."""
 
     def slices(needed=None):
@@ -93,9 +94,14 @@ def two_pass_refine(dataset, inits, cfgs, truths=None):
             weights.append(np.where(np.abs(row) <= trunc.tau, row, 0.0))
             needed[trunc.indices] = True
         grads = np.zeros((len(active), dataset.n1 * dataset.n2))
+        out = np.empty((tgd.WIDTH, dataset.n1 * dataset.n2))
         for at, sub in slices(needed):
-            for grad, w in zip(grads, weights):
-                grad += w[at] @ sub
+            for g in range(0, len(active), tgd.WIDTH):
+                group = weights[g : g + tgd.WIDTH]
+                block = np.zeros((tgd.WIDTH, len(sub)))
+                block[: len(group)] = [w[at] for w in group]
+                np.matmul(block, sub, out=out)
+                grads[g : g + len(group)] += out[: len(group)]
         steps, active = active, []
         for k, grad in zip(steps, grads):
             f, cfg = factors[k], cfgs[k]

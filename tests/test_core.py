@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import truncated_gaussian_second_moment
+import mixsense
 from mixsense import core
 from mixsense.errors import InvalidInputError
 
@@ -68,6 +72,42 @@ class TestSvd:
     def test_invalid(self):
         with pytest.raises(InvalidInputError):
             core.svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_gesvd_fallback(self, rng, monkeypatch):
+        # when gesdd fails to converge, scipy's gesvd gives the same
+        # factorization under the same sign convention
+        ms = [rng.standard_normal((9, 6)), rng.standard_normal((5, 7)), -np.eye(3)]
+        expected = [core.svd(m) for m in ms]
+        calls = []
+
+        def no_convergence(*args, **kwargs):
+            calls.append(1)
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        for m, want in zip(ms, expected):
+            res = core.svd(m)
+            k = res.s.size
+            assert np.linalg.norm(res.u @ np.diag(res.s) @ res.v.T - m) <= 1e-12 * np.linalg.norm(m)
+            assert np.linalg.norm(res.u.T @ res.u - np.eye(k)) <= 1e-12 * k
+            assert np.linalg.norm(res.v.T @ res.v - np.eye(k)) <= 1e-12 * k
+            anchors = np.argmax(np.abs(res.u), axis=0)
+            assert (res.u[anchors, np.arange(k)] > 0).all()
+            np.testing.assert_allclose(res.s, want.s, rtol=1e-12)
+            if (np.diff(want.s) < 0).all():  # distinct singular values fix the vectors
+                np.testing.assert_allclose(res.u, want.u, atol=1e-12)
+                np.testing.assert_allclose(res.v, want.v, atol=1e-12)
+        assert len(calls) == len(ms)
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the SVD fallback and the evaluation's alignment, so
+    # a fresh interpreter that imports the package leaves it unloaded
+    src = os.path.dirname(os.path.dirname(mixsense.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, mixsense; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestFiniteQuantile:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,7 +10,7 @@ from mixsense import scaledtgd as tgd
 from mixsense.errors import InvalidInputError, PreconditionerSingularError
 from mixsense.initialization import FactorPair
 
-from helpers import BAD_INTS, BAD_NUMBERS, manual_dataset, two_pass_refine
+from helpers import BAD_INTS, BAD_NUMBERS, manual_dataset, stacked_rows, two_pass_refine
 
 
 def exact_fit_dataset(rng, l, r, n_samples):
@@ -549,3 +551,70 @@ class TestPredictedBand:
             _, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
             runs = tgd.refine_components(ds, inits, cfgs)
             assert sum(run.trace.fallbacks for run in runs) == len(seen) > 0
+
+
+def five_component_problem(N=2100, seed=5):
+    """K = 5 rank-1 mixture on 6 x 5 matrices, 1500 of its N rows stored;
+    component 0 stops after three steps, so the others move up one row in
+    the gradient GEMM's weight blocks, and component 4 from the second
+    block into the first."""
+    gt = synth.make_ground_truth(6, 5, [1] * 5, [0.2] * 5, [[1.0]] * 5, seed=seed)
+    ds = synth.sample_dataset(gt, N, 0.0, seed=seed, stored_budget=1500 * 30)
+    g = np.random.default_rng(seed)
+    inits = [
+        FactorPair(c.u_star + 0.05 * g.standard_normal(c.u_star.shape), c.v_star * c.sigma_star)
+        for c in gt.components
+    ]
+    cfgs = [tgd.TgdConfig(eta=6.5, alpha=0.16, t0=3)]
+    cfgs += [tgd.TgdConfig(eta=6.5, alpha=0.16, t0=20)] * 3
+    cfgs += [tgd.TgdConfig(eta=6.5, alpha=0.16, t0=200, early_stop_tol=1e-3)]
+    return gt, ds, inits, cfgs
+
+
+class TestGradientKernel:
+    def test_sums_match_exact_column_sums(self):
+        # N = 2100 is not a multiple of SUB, so the last slice is partial;
+        # five sums take two weight blocks, the second padded with zeros
+        _, ds, inits, _ = five_component_problem()
+        assert ds.N % synth.SUB and len(inits) > tgd.WIDTH
+        res = tgd._residual_pass(ds, inits)
+        cuts = np.quantile(np.abs(res), 0.1, axis=1)
+        fused = np.zeros((len(inits), ds.n1 * ds.n2))
+        again = tgd._residual_pass(ds, inits, [(j, cut, fused[j]) for j, cut in enumerate(cuts)])
+        assert again.tobytes() == res.tobytes()  # summing changes no residual
+        designs = stacked_rows(ds, np.arange(ds.N))
+        for r, cut, got in zip(res, cuts, fused):
+            terms = r[np.abs(r) <= cut, None] * designs[np.abs(r) <= cut]
+            exact = np.array([math.fsum(col) for col in terms.T])
+            assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact)
+
+        # the gradient-only pass reads the kept rows alone and gives the
+        # same bits, and so does each sum taken alone, in row 0 of its block
+        needed = np.logical_or.reduce(np.abs(res) <= cuts[:, None])
+        assert not needed.all()
+        grads = np.zeros_like(fused)
+        tgd._design_pass(ds, res, [], [(j, cut, grads[j]) for j, cut in enumerate(cuts)], needed)
+        assert grads.tobytes() == fused.tobytes()
+        for j, cut in enumerate(cuts):
+            alone = np.zeros(ds.n1 * ds.n2)
+            tgd._design_pass(ds, res, [], [(j, cut, alone)], needed)
+            assert alone.tobytes() == fused[j].tobytes()
+
+    def test_components_moving_between_blocks_match_their_solo_runs(self):
+        gt, ds, inits, cfgs = five_component_problem()
+        truths = gt.matrices()
+        runs = tgd.refine_components(ds, inits, cfgs, truths)
+        lengths = [len(run.trace) for run in runs]
+        assert lengths[0] == 4 and min(lengths[1:]) > 5
+        # most steps from t = 2 on were fused: the residual pass summed five
+        # components in two weight blocks at t = 2, and four in one after
+        assert sum(run.trace.fallbacks for run in runs) < sum(n - 3 for n in lengths)
+        for run, f0, cfg, truth in zip(runs, inits, cfgs, truths):
+            assert same_run(run, tgd.refine_components(ds, [f0], [cfg], [truth])[0])
+
+    def test_wide_mixture_is_the_two_pass_loop(self, monkeypatch):
+        monkeypatch.setattr(tgd, "BAND", 0.0)
+        gt, ds, inits, cfgs = five_component_problem()
+        runs = tgd.refine_components(ds, inits, cfgs, gt.matrices())
+        for run, ref in zip(runs, two_pass_refine(ds, inits, cfgs, gt.matrices())):
+            assert same_arithmetic(run, ref)
