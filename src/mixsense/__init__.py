@@ -20,13 +20,6 @@ from .errors import (
 )
 from .pipeline import PipelineConfig, RecoveryReport, run_pipeline
 from .spectral import data_matrix, subspace_estimate
-from .synth import (
-    Dataset,
-    GroundTruth,
-    check_assumption1,
-    incoherence,
-    make_ground_truth,
-    sample_dataset,
-)
+from .synth import Dataset, GroundTruth, make_ground_truth, sample_dataset
 
 __version__ = "0.1.0"

@@ -7,9 +7,10 @@ Usage::
     mixsense sweep-noise --config cfg.json --out outdir
 
 `run` writes summary.csv, report.json and the convergence trace of its
-first trial, trace.csv. Exit codes: 0 success, 2 config error, 3 numerical
-failure (partial output, including every trial finished before the
-failure, is flushed before exiting).
+first trial, trace.csv. Exit codes: 0 success, 2 config error or an output
+directory that cannot be made, 3 numerical failure (partial output,
+including every trial finished before the failure, is flushed before
+exiting).
 """
 
 import argparse
@@ -17,7 +18,7 @@ import csv
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import List, Optional, Union
 
@@ -73,20 +74,18 @@ class ExperimentConfig:
         return asdict(self)
 
 
-_REQUIRED = ("n1", "n2", "K", "ranks")
-_OPTIONAL = ("proportions", "spectra", "sigma", "N", "seed", "trials", "pipeline")
-
-
 def parse_config(raw: dict) -> ExperimentConfig:
     """Check a config before any trial runs. The library checks the planted
     mixture, K, the seed and the pipeline section, as trial 0's ground truth
     and `PipelineConfig` are built; the rest is checked here."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - set(_REQUIRED) - set(_OPTIONAL)
+    keys = fields(ExperimentConfig)
+    unknown = set(raw) - {f.name for f in keys}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = [k for k in _REQUIRED if k not in raw]
+    required = [f.name for f in keys if f.default is MISSING and f.default_factory is MISSING]
+    missing = [k for k in required if k not in raw]
     if missing:
         raise ConfigError(f"missing config keys: {missing}")
     cfg = ExperimentConfig(**raw)
@@ -215,7 +214,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         cfg = load_config(args.config)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot make output directory {out}: {exc}", file=sys.stderr)
+            return 2
         failed = COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ WIDTH = 4
 class TgdConfig:
     eta: float                   # step size, > 0
     alpha: float                 # truncating fraction in (0, 1]
-    t0: int                      # iteration budget, >= 0
+    t0: int                      # iteration budget, >= 1
     early_stop_tol: float = 0.0  # relative product change threshold, 0 disables
 
     def __post_init__(self):
@@ -36,7 +36,7 @@ class TgdConfig:
             raise InvalidInputError("eta must be > 0")
         if not 0.0 < core.check_finite(self.alpha, "alpha") <= 1.0:
             raise InvalidInputError(f"alpha must lie in (0, 1], got {self.alpha}")
-        core.check_int(self.t0, "t0")
+        core.check_int(self.t0, "t0", 1)
         core.check_finite(self.early_stop_tol, "early_stop_tol")
 
 
@@ -47,24 +47,23 @@ class TgdTrace:
     computed at that iterate. The final iterate takes no step, so both are
     None in its row: null in report.json, an empty cell in trace.csv."""
 
-    iters: List[int] = field(default_factory=list)
     taus: List[Optional[float]] = field(default_factory=list)
     kept_counts: List[Optional[int]] = field(default_factory=list)
     rel_errors: List[Optional[float]] = field(default_factory=list)
     stop_reason: Optional[str] = None  # "budget", "early_stop" or "singular_preconditioner"
     fallbacks: int = 0  # iterations whose level missed its predicted band
 
-    def append(self, t: int, tau: Optional[float], kept: Optional[int], rel_error: Optional[float]):
-        self.iters.append(int(t))
+    def append(self, tau: Optional[float], kept: Optional[int], rel_error: Optional[float]):
         self.taus.append(None if tau is None else float(tau))
         self.kept_counts.append(None if kept is None else int(kept))
         self.rel_errors.append(None if rel_error is None else float(rel_error))
 
     def __len__(self) -> int:
-        return len(self.iters)
+        return len(self.taus)
 
     def rows(self):
-        return zip(self.iters, self.taus, self.kept_counts, self.rel_errors)
+        """(t, tau, kept, rel_error) per row, t the row's position."""
+        return zip(range(len(self)), self.taus, self.kept_counts, self.rel_errors)
 
     def to_json_dict(self) -> dict:
         """The stop reason, the fallback count and one object per row."""
@@ -93,7 +92,7 @@ def _residual_pass(dataset: Dataset, factor_list: Sequence[FactorPair], sums=())
     return out
 
 
-def _design_pass(dataset: Dataset, res: np.ndarray, pvecs, sums, needed=None) -> None:
+def _design_pass(dataset: Dataset, res: np.ndarray, pvecs, sums) -> None:
     """Walk the design blocks SUB rows at a time. Each slice, while in cache,
     fills row j of `res` with the residuals of product vector ``pvecs[j]``
     (one GEMV each, with the bits of the whole-block product that made y, so
@@ -101,8 +100,9 @@ def _design_pass(dataset: Dataset, res: np.ndarray, pvecs, sums, needed=None) ->
     ``|r_i| <= cut`` to `acc`, for each ``(row, cut, acc)`` in `sums` and
     ``r = res[row]``. The sums take one GEMM per slice and group of WIDTH
     entries of `sums`: a zero-padded WIDTH-row weight block times the slice.
-    Unstored rows outside `needed` read as zeros, which is exact for the sums
-    when it holds every row they keep."""
+    A pass with no `pvecs` regenerates only the unstored rows that some sum
+    keeps; the others read as zeros, which the sums weigh by zero."""
+    needed = None if pvecs else np.logical_or.reduce([abs(res[r]) <= c for r, c, _ in sums])
     groups = [sums[g : g + WIDTH] for g in range(0, len(sums), WIDTH)]
     block = np.zeros((WIDTH, SUB))
     grads = np.empty((WIDTH, dataset.n1 * dataset.n2))
@@ -206,28 +206,22 @@ def refine_components(
     def error(k):
         return None if truths[k] is None else core.rel_fro_error(factors[k].product(), truths[k])
 
-    def stop(k, t, reason):  # a final iterate takes no step, so its row has no level
-        traces[k].append(t, None, None, error(k))
-        traces[k].stop_reason = reason
-
-    for k in [k for k, cfg in enumerate(cfgs) if cfg.t0 == 0]:
-        stop(k, 0, "budget")
-    stepping, t = [k for k, cfg in enumerate(cfgs) if cfg.t0 > 0], 0  # iterates that take a step
+    stepping = list(range(K))  # the components whose iterate takes a step
+    # iteration 0 predicts no level, so its residual pass would add no sums
+    res = None if first_residuals is None else np.asarray(first_residuals, dtype=np.float64)
     while stepping:
         guess = {j: taus[-1] * (taus[-1] / taus[-2])  # stepping row -> predicted level
                  for j, taus in enumerate(traces[k].taus for k in stepping)
                  if len(taus) > 1 and taus[-1] > 0 and taus[-2] > 0}
         sums = np.zeros((len(stepping), dataset.n1 * dataset.n2))
-        if t == 0 and first_residuals is not None:
-            res = np.asarray(first_residuals, dtype=np.float64)[stepping]  # no level is predicted yet
-        else:
+        if res is None:
             res = _residual_pass(dataset, [factors[k] for k in stepping],
                                  [(j, (1 - BAND) * tau, sums[j]) for j, tau in guess.items()])
-        bands, missed, needed = [], [], np.zeros(N, dtype=bool)
+        bands, missed = [], []
         for j, (k, row) in enumerate(zip(stepping, res)):
             abs_row = np.abs(row)
             trunc = truncation_set(abs_row, cfgs[k].alpha)
-            traces[k].append(t, trunc.tau, trunc.indices.size, error(k))
+            traces[k].append(trunc.tau, trunc.indices.size, error(k))
             cut = (1 - BAND) * guess.get(j, 0.0)
             if cut < trunc.tau <= (1 + BAND) * guess.get(j, 0.0):
                 bands.append((j, (abs_row > cut) & (abs_row <= trunc.tau), sums[j]))
@@ -235,12 +229,11 @@ def refine_components(
                 traces[k].fallbacks += j in guess
                 sums[j] = 0.0
                 missed.append((j, trunc.tau, sums[j]))
-                needed[trunc.indices] = True
         if bands:
             _band_pass(dataset, res, bands)
         if missed:
-            _design_pass(dataset, res, [], missed, needed)
-        steps, stepping = stepping, []
+            _design_pass(dataset, res, [], missed)
+        steps, stepping, res = stepping, [], None
         for j, k in enumerate(steps):
             f, cfg = factors[k], cfgs[k]
             try:
@@ -251,9 +244,9 @@ def refine_components(
             prod = f.product()
             change = np.linalg.norm(factors[k].product() - prod) / max(np.linalg.norm(prod), 1e-300)
             early = cfg.early_stop_tol > 0.0 and change < cfg.early_stop_tol
-            if early or t + 1 == cfg.t0:
-                stop(k, t + 1, "early_stop" if early else "budget")
+            if early or len(traces[k]) == cfg.t0:  # a final iterate takes no step, so no level
+                traces[k].append(None, None, error(k))
+                traces[k].stop_reason = "early_stop" if early else "budget"
             else:
                 stepping.append(k)
-        t += 1
     return [TgdRun(final=f, trace=trace) for f, trace in zip(factors, traces)]

@@ -1,5 +1,5 @@
-"""Synthetic planted problems: ground truths, mixed Gaussian measurements,
-and incoherence diagnostics.
+"""Synthetic planted problems: ground truths and mixed Gaussian
+measurements.
 
 Randomness layout. Every dataset is derived from one integer master seed:
 
@@ -33,7 +33,7 @@ component in any row of the block.
 """
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class Component:
     sigma_star: np.ndarray  # (r,) positive, descending
     v_star: np.ndarray      # (n2, r) orthonormal columns
     p: float                # proportion in (0, 1]
-    r: int
 
 
 @dataclass(frozen=True)
@@ -78,21 +77,12 @@ class GroundTruth:
     def proportions(self) -> List[float]:
         return [c.p for c in self.components]
 
-    @property
-    def max_rank(self) -> int:
-        return max(c.r for c in self.components)
-
     def matrix(self, k: int) -> np.ndarray:
         c = self.components[k]
         return c.u_star @ (c.sigma_star[:, None] * c.v_star.T)
 
     def matrices(self) -> List[np.ndarray]:
         return [self.matrix(k) for k in range(self.K)]
-
-    def balance_ratio(self) -> float:
-        """Ratio of the largest to smallest component Frobenius norm."""
-        norms = [float(np.linalg.norm(c.sigma_star)) for c in self.components]
-        return max(norms) / min(norms)
 
 
 def random_orthonormal(n: int, r: int, seed) -> np.ndarray:
@@ -147,39 +137,8 @@ def make_ground_truth(
             raise InvalidInputError(f"component {k}: spectrum must be positive and descending")
         u = random_orthonormal(n1, r, np.random.SeedSequence(entropy=seed, spawn_key=(k, 0)))
         v = random_orthonormal(n2, r, np.random.SeedSequence(entropy=seed, spawn_key=(k, 1)))
-        comps.append(Component(u_star=u, sigma_star=spec, v_star=v, p=p, r=r))
+        comps.append(Component(u_star=u, sigma_star=spec, v_star=v, p=p))
     return GroundTruth(n1=n1, n2=n2, components=tuple(comps))
-
-
-def incoherence(gt: GroundTruth) -> float:
-    """Largest normalized cross-correlation between distinct component
-    subspaces (0 when there is a single component)."""
-    if gt.K == 1:
-        return 0.0
-    r = gt.max_rank
-    mu = 0.0
-    for i in range(gt.K):
-        for j in range(i + 1, gt.K):
-            cu = np.linalg.norm(gt.components[i].u_star.T @ gt.components[j].u_star)
-            cv = np.linalg.norm(gt.components[i].v_star.T @ gt.components[j].v_star)
-            mu = max(mu, cu * np.sqrt(gt.n1) / r, cv * np.sqrt(gt.n2) / r)
-    return float(mu)
-
-
-class Assumption1Check(NamedTuple):
-    holds: bool
-    mu: float
-    bound: float
-
-
-def check_assumption1(gt: GroundTruth) -> Assumption1Check:
-    """Weak-correlation check: incoherence against its admissible bound
-    ``sqrt(min(n1,n2)) / (2 r max(K, sqrt(K) * balance))``."""
-    mu = incoherence(gt)
-    gamma = gt.balance_ratio()
-    r = gt.max_rank
-    bound = np.sqrt(min(gt.n1, gt.n2)) / (2.0 * r * max(gt.K, np.sqrt(gt.K) * gamma))
-    return Assumption1Check(holds=bool(mu <= bound), mu=mu, bound=float(bound))
 
 
 def _largest_remainder_counts(proportions: Sequence[float], N: int) -> np.ndarray:

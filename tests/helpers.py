@@ -73,13 +73,7 @@ def two_pass_refine(dataset, inits, cfgs, truths=None):
     def error(k):
         return None if truths[k] is None else core.rel_fro_error(factors[k].product(), truths[k])
 
-    def stop(k, t, reason):
-        traces[k].append(t, None, None, error(k))
-        traces[k].stop_reason = reason
-
-    for k in [k for k, cfg in enumerate(cfgs) if cfg.t0 == 0]:
-        stop(k, 0, "budget")
-    active, t = [k for k, cfg in enumerate(cfgs) if cfg.t0 > 0], 0
+    active = list(range(K))
     while active:
         res = np.empty((len(active), N))
         pvecs = [factors[k].product().ravel() for k in active]
@@ -90,7 +84,7 @@ def two_pass_refine(dataset, inits, cfgs, truths=None):
         weights, needed = [], np.zeros(N, dtype=bool)
         for k, row in zip(active, res):
             trunc = tgd.truncation_set(np.abs(row), cfgs[k].alpha)
-            traces[k].append(t, trunc.tau, trunc.indices.size, error(k))
+            traces[k].append(trunc.tau, trunc.indices.size, error(k))
             weights.append(np.where(np.abs(row) <= trunc.tau, row, 0.0))
             needed[trunc.indices] = True
         grads = np.zeros((len(active), dataset.n1 * dataset.n2))
@@ -113,9 +107,9 @@ def two_pass_refine(dataset, inits, cfgs, truths=None):
             prod = f.product()
             change = np.linalg.norm(factors[k].product() - prod) / max(np.linalg.norm(prod), 1e-300)
             early = cfg.early_stop_tol > 0.0 and change < cfg.early_stop_tol
-            if early or t + 1 == cfg.t0:
-                stop(k, t + 1, "early_stop" if early else "budget")
+            if early or len(traces[k]) == cfg.t0:
+                traces[k].append(None, None, error(k))
+                traces[k].stop_reason = "early_stop" if early else "budget"
             else:
                 active.append(k)
-        t += 1
     return [tgd.TgdRun(final=f, trace=trace) for f, trace in zip(factors, traces)]

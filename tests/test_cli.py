@@ -122,6 +122,17 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_out_path_of_a_file_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "run_pipeline", lambda *args, **kwargs: calls.append(args))
+        path = write_config(tmp_path, tiny_config())
+        out = tmp_path / "out"
+        out.write_text("a file")
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert calls == [] and out.read_text() == "a file"
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_byte_identical_reruns(self, tmp_path):
         path = write_config(tmp_path, tiny_config())
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -44,7 +44,9 @@ class TestAlignComponents:
             assert abs(res.total_cost - cost) < 1e-12
 
     def test_assignment_path_matches_brute_force(self, rng):
-        # K = 9 exercises the linear-assignment branch
+        # at K = 9 (362,880 orderings) the result is a permutation of all
+        # nine and reaches the brute-force minimum; only the cost is
+        # compared, since two orderings can tie to rounding
         ests = [rng.standard_normal((2, 2)) for _ in range(9)]
         truths = [rng.standard_normal((2, 2)) for _ in range(9)]
         res = pl.align_components(ests, truths)
@@ -282,7 +284,7 @@ class TestRunPipeline:
         assert exc.stage == "stage3"
         assert exc.trace is exc.__cause__.trace
         assert exc.trace.stop_reason == "singular_preconditioner"
-        assert exc.trace.iters == [0, 1, 2]
+        assert len(exc.trace) == 3
         assert all(err is not None for err in exc.trace.rel_errors)
 
     def test_report_json_round_trip(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixsense import core, spectral, synth
+from mixsense import spectral, synth
 from mixsense import scaledtgd as tgd
 from mixsense.errors import InvalidInputError, PreconditionerSingularError
 from mixsense.initialization import FactorPair
@@ -159,12 +159,6 @@ class TestStep:
 
 
 class TestRun:
-    def test_zero_iterations(self, rng):
-        ds, pair = exact_fit_dataset(rng, rng.standard_normal((3, 1)), rng.standard_normal((3, 1)), 60)
-        out = tgd.refine_components(ds, [pair], [tgd.TgdConfig(eta=1.0, alpha=0.8, t0=0)])[0]
-        assert out.final is pair
-        assert len(out.trace) == 1 and out.trace.iters == [0]
-
     def test_trace_invariants(self, rng):
         gt = synth.make_ground_truth(6, 6, [1], [1.0], [[1.0]], seed=1)
         ds = synth.sample_dataset(gt, 900, 0.0, seed=1)
@@ -236,7 +230,7 @@ class TestRun:
 
     def test_stop_reasons(self, rng):
         ds, pair = exact_fit_dataset(rng, rng.standard_normal((3, 1)), rng.standard_normal((3, 1)), 60)
-        for t0 in (0, 3):
+        for t0 in (1, 3):
             out = tgd.refine_components(ds, [pair], [tgd.TgdConfig(1.0, 0.8, t0=t0)])[0]
             assert out.trace.stop_reason == "budget" and len(out.trace) == t0 + 1
         cfg = tgd.TgdConfig(1.0, 0.8, t0=3, early_stop_tol=1e-12)
@@ -252,6 +246,8 @@ class TestRun:
             tgd.TgdConfig(eta=1.0, alpha=1.2, t0=1)
         with pytest.raises(InvalidInputError):
             tgd.TgdConfig(eta=1.0, alpha=0.5, t0=-1)
+        with pytest.raises(InvalidInputError):
+            tgd.TgdConfig(eta=1.0, alpha=0.5, t0=0)
         with pytest.raises(InvalidInputError):
             tgd.TgdConfig(eta=1.0, alpha=0.5, t0=2.5)
         for tol in (-1.0, float("nan")):
@@ -453,20 +449,6 @@ class TestRefineComponents:
             assert run.trace.taus[-1] is None and run.trace.kept_counts[-1] is None
             assert None not in run.trace.taus[:-1] + run.trace.kept_counts[:-1]
 
-        # a t0 = 0 component reads no designs and gets one row with a null level
-        idle = tgd.TgdConfig(eta=3.9, alpha=0.8 / 3, t0=0)
-        events.clear()
-        passes.clear()
-        alone = tgd.refine_components(ds, inits[:1], [idle], gt.matrices()[:1])[0]
-        assert events == [] and passes == []
-        assert alone.final is inits[0] and alone.trace.stop_reason == "budget"
-        err = core.rel_fro_error(inits[0].product(), gt.matrix(0))
-        assert list(alone.trace.rows()) == [(0, None, None, err)]
-        # beside components that step, it is left out of every pass
-        mixed = tgd.refine_components(ds, inits, [idle, *cfgs[1:]], gt.matrices())
-        assert same_run(mixed[0], alone) and max(passes) == 2
-        assert all(same_run(a, b) for a, b in zip(mixed[1:], runs[1:]))
-
     def test_mismatched_lengths(self):
         _, ds, inits, cfgs = mixture_problem(stored_budget=0, N=60)
         with pytest.raises(InvalidInputError):
@@ -513,7 +495,7 @@ class TestPredictedBand:
             runs = tgd.refine_components(ds, inits, cfgs, gt.matrices())
             refs = two_pass_refine(ds, inits, cfgs, gt.matrices())
             for run, ref in zip(runs, refs):
-                assert run.trace.iters == ref.trace.iters
+                assert len(run.trace) == len(ref.trace)
                 assert run.trace.stop_reason == ref.trace.stop_reason
                 assert run.trace.kept_counts == ref.trace.kept_counts
                 p, q = run.final.product(), ref.final.product()
@@ -537,11 +519,11 @@ class TestPredictedBand:
         seen, t = [], [0]
         real_pass = tgd._design_pass
 
-        def design_pass(dataset, res, pvecs, sums, needed=None):
+        def design_pass(dataset, res, pvecs, sums):
             t[0] += bool(pvecs)  # residual passes start the iterations
             if not pvecs and t[0] > 2:
                 seen.extend(row for row, _, _ in sums)
-            return real_pass(dataset, res, pvecs, sums, needed)
+            return real_pass(dataset, res, pvecs, sums)
 
         monkeypatch.setattr(tgd, "_design_pass", design_pass)
         for band in (tgd.BAND, 0.02):
@@ -590,14 +572,13 @@ class TestGradientKernel:
 
         # the gradient-only pass reads the kept rows alone and gives the
         # same bits, and so does each sum taken alone, in row 0 of its block
-        needed = np.logical_or.reduce(np.abs(res) <= cuts[:, None])
-        assert not needed.all()
+        assert not np.logical_or.reduce(np.abs(res) <= cuts[:, None]).all()
         grads = np.zeros_like(fused)
-        tgd._design_pass(ds, res, [], [(j, cut, grads[j]) for j, cut in enumerate(cuts)], needed)
+        tgd._design_pass(ds, res, [], [(j, cut, grads[j]) for j, cut in enumerate(cuts)])
         assert grads.tobytes() == fused.tobytes()
         for j, cut in enumerate(cuts):
             alone = np.zeros(ds.n1 * ds.n2)
-            tgd._design_pass(ds, res, [], [(j, cut, alone)], needed)
+            tgd._design_pass(ds, res, [], [(j, cut, alone)])
             assert alone.tobytes() == fused[j].tobytes()
 
     def test_components_moving_between_blocks_match_their_solo_runs(self):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -80,70 +79,6 @@ class TestMakeGroundTruth:
         b = equal_mixture(10, 2, 2, seed=3)
         for k in range(2):
             assert (a.matrix(k) == b.matrix(k)).all()
-
-
-def overlapping_mixture(n=4, r=1):
-    """Two components sharing the same column space (worst-case coherence)."""
-    e1 = np.zeros((n, r))
-    e1[0, 0] = 1.0
-    e2 = np.zeros((n, r))
-    e2[1, 0] = 1.0
-    c1 = synth.Component(u_star=e1, sigma_star=np.ones(r), v_star=e1, p=0.5, r=r)
-    c2 = synth.Component(u_star=e1, sigma_star=np.ones(r), v_star=e2, p=0.5, r=r)
-    return synth.GroundTruth(n1=n, n2=n, components=(c1, c2))
-
-
-class TestIncoherence:
-    def test_single_component(self):
-        gt = synth.make_ground_truth(5, 5, [1], [1.0], [[1.0]], seed=0)
-        assert synth.incoherence(gt) == 0.0
-
-    def test_shared_column_space(self):
-        # identical U's, orthogonal V's in R^4 with rank 1: mu = sqrt(4)/1
-        gt = overlapping_mixture()
-        assert abs(synth.incoherence(gt) - 2.0) < 1e-14
-
-    def test_random_subspaces_mu_is_order_one(self):
-        # mu does not grow with n for random subspaces
-        mus = [synth.incoherence(equal_mixture(120, K=3, r=2, seed=s)) for s in range(40)]
-        assert max(mus) < 2.5
-
-    def test_random_subspaces_satisfy_assumption(self):
-        # the admissible bound grows like sqrt(n); n = 500 puts random
-        # rank-2 subspaces comfortably inside it
-        hits = 0
-        for seed in range(100):
-            gt = equal_mixture(500, K=3, r=2, seed=seed)
-            hits += synth.check_assumption1(gt).holds
-        assert hits >= 95
-
-
-class TestAssumption1:
-    def test_single_component_holds(self):
-        gt = synth.make_ground_truth(5, 5, [1], [1.0], [[1.0]], seed=0)
-        chk = synth.check_assumption1(gt)
-        assert chk.holds and chk.mu == 0.0
-
-    def test_bound_formula(self):
-        gt = equal_mixture(120, K=3, r=2, seed=1)
-        chk = synth.check_assumption1(gt)
-        assert abs(chk.bound - math.sqrt(120) / 12.0) < 1e-12
-
-    def test_constructed_violation(self):
-        chk = synth.check_assumption1(overlapping_mixture())
-        assert chk.mu > chk.bound and not chk.holds
-
-    def test_scale_invariance(self):
-        gt = equal_mixture(30, K=2, r=2, seed=5)
-        scaled = synth.GroundTruth(
-            n1=gt.n1,
-            n2=gt.n2,
-            components=tuple(
-                dataclasses.replace(c, sigma_star=7.5 * c.sigma_star) for c in gt.components
-            ),
-        )
-        a, b = synth.check_assumption1(gt), synth.check_assumption1(scaled)
-        assert a.holds == b.holds and a.mu == b.mu and abs(a.bound - b.bound) < 1e-15
 
 
 class TestSampleDataset:
