@@ -48,6 +48,8 @@ class PipelineConfig:
                     raise InvalidInputError(f"{name} must have length {self.k_components}")
         for r in self.supplied_ranks or ():
             core.check_int(r, "supplied_ranks entry", 1)
+            if self.supplied_r_joint is not None and r > self.supplied_r_joint:
+                raise InvalidInputError(f"supplied_ranks entry {r} exceeds supplied_r_joint")
         for p in self.supplied_proportions or ():
             if core.check_finite(p, "supplied_proportions entry") == 0.0:
                 raise InvalidInputError("supplied_proportions must be positive")

@@ -16,8 +16,6 @@ from .errors import InvalidInputError, PreconditionerSingularError
 from .initialization import FactorPair
 from .synth import SUB, Dataset
 
-# Relative half-width of the band around a predicted truncation level.
-BAND = 0.1
 # Rows of the weight block that each slice's gradient GEMM reads. It is fixed,
 # so a component's sum has the same bits whichever row holds its weights and
 # whatever the other rows hold, as in its solo run.
@@ -51,7 +49,6 @@ class TgdTrace:
     kept_counts: List[Optional[int]] = field(default_factory=list)
     rel_errors: List[Optional[float]] = field(default_factory=list)
     stop_reason: Optional[str] = None  # "budget", "early_stop" or "singular_preconditioner"
-    fallbacks: int = 0  # iterations whose level missed its predicted band
 
     def append(self, tau: Optional[float], kept: Optional[int], rel_error: Optional[float]):
         self.taus.append(None if tau is None else float(tau))
@@ -66,8 +63,8 @@ class TgdTrace:
         return zip(range(len(self)), self.taus, self.kept_counts, self.rel_errors)
 
     def to_json_dict(self) -> dict:
-        """The stop reason, the fallback count and one object per row."""
-        return {"stop_reason": self.stop_reason, "fallbacks": self.fallbacks,
+        """The stop reason and one object per row."""
+        return {"stop_reason": self.stop_reason,
                 "trace": [{"iter": t, "tau": tau, "kept": kept, "rel_error": err}
                           for t, tau, kept, err in self.rows()]}
 
@@ -84,34 +81,27 @@ class TgdRun(NamedTuple):
 
 def _residual_pass(dataset: Dataset, factor_list: Sequence[FactorPair], sums=()) -> np.ndarray:
     """Signed residuals ``<A_i, l r^T> - y_i`` of each factor pair, one row
-    per pair, from one :func:`_design_pass` that also adds to `sums`."""
+    per pair, from one walk over the design blocks SUB rows at a time. Each
+    slice, while in cache, fills row j with the residuals of pair j (one
+    GEMV each, with the bits of the whole-block product that made y, so
+    fixed points stay bit-exact), then adds ``r_i A_i`` over its samples
+    with ``|r_i| <= cut`` to `acc`, for each ``(row, cut, acc)`` in `sums`
+    and ``r`` the residuals of that row. The sums take one GEMM per slice
+    and group of WIDTH entries of `sums`: a zero-padded WIDTH-row weight
+    block times the slice."""
     if any(f.l.shape[0] != dataset.n1 or f.r.shape[0] != dataset.n2 for f in factor_list):
         raise InvalidInputError("factor shapes do not match the dataset")
-    out = np.empty((len(factor_list), dataset.N))
-    _design_pass(dataset, out, [f.product().ravel() for f in factor_list], sums)
-    return out
-
-
-def _design_pass(dataset: Dataset, res: np.ndarray, pvecs, sums) -> None:
-    """Walk the design blocks SUB rows at a time. Each slice, while in cache,
-    fills row j of `res` with the residuals of product vector ``pvecs[j]``
-    (one GEMV each, with the bits of the whole-block product that made y, so
-    fixed points stay bit-exact), then adds ``r_i A_i`` over its samples with
-    ``|r_i| <= cut`` to `acc`, for each ``(row, cut, acc)`` in `sums` and
-    ``r = res[row]``. The sums take one GEMM per slice and group of WIDTH
-    entries of `sums`: a zero-padded WIDTH-row weight block times the slice.
-    A pass with no `pvecs` regenerates only the unstored rows that some sum
-    keeps; the others read as zeros, which the sums weigh by zero."""
-    needed = None if pvecs else np.logical_or.reduce([abs(res[r]) <= c for r, c, _ in sums])
+    pvecs = [f.product().ravel() for f in factor_list]
+    res = np.empty((len(pvecs), dataset.N))
     groups = [sums[g : g + WIDTH] for g in range(0, len(sums), WIDTH)]
     block = np.zeros((WIDTH, SUB))
     grads = np.empty((WIDTH, dataset.n1 * dataset.n2))
-    for lo, hi, rows in dataset.iter_design_blocks(needed):
+    for lo, hi, rows in dataset.iter_design_blocks():
         for s in range(0, hi - lo, SUB):
             sub, at = rows[s : s + SUB], slice(lo + s, min(lo + s + SUB, hi))
             for r, pvec in zip(res, pvecs):
                 np.matmul(sub, pvec, out=r[at])
-            res[: len(pvecs), at] -= dataset.y[at]
+            res[:, at] -= dataset.y[at]
             weights = block[:, : len(sub)]
             for group in groups:
                 for w, (row, cut, _) in zip(weights, group):
@@ -121,6 +111,7 @@ def _design_pass(dataset: Dataset, res: np.ndarray, pvecs, sums) -> None:
                 np.matmul(weights, sub, out=grads)
                 for grad, (_, _, acc) in zip(grads, group):
                     acc += grad
+    return res
 
 
 def truncation_set(abs_residuals: np.ndarray, alpha: float) -> TruncationSet:
@@ -144,15 +135,15 @@ def _gram_solve_factor(f: np.ndarray) -> np.ndarray:
     return (vt.T / s**2) @ vt
 
 
-def _band_pass(dataset: Dataset, res: np.ndarray, bands) -> None:
-    """For each ``(row, mask, acc)`` in `bands`, add ``r_i A_i`` over the
-    samples in `mask` to `acc`, gathering that row's own masked rows block by
-    block. Only unstored rows in some mask are regenerated."""
+def _band_pass(dataset: Dataset, bands) -> None:
+    """For each ``(weights, mask, acc)`` in `bands`, add ``w_i A_i`` over the
+    samples in `mask` to `acc`, gathering that entry's own masked rows block
+    by block. Only unstored rows in some mask are regenerated."""
     for lo, hi, rows in dataset.iter_design_blocks(np.logical_or.reduce([m for _, m, _ in bands])):
-        for row, mask, acc in bands:
+        for weights, mask, acc in bands:
             at = np.flatnonzero(mask[lo:hi])
             if at.size:
-                acc += res[row, lo + at] @ rows[at]
+                acc += weights[lo + at] @ rows[at]
 
 
 def _update(factors: FactorPair, grad: np.ndarray, scale: float) -> FactorPair:
@@ -181,15 +172,15 @@ def refine_components(
 
     From the third iterate on, the level is predicted as
     ``tau_hat = tau_{t-1}^2 / tau_{t-2}`` (the error contracts linearly),
-    and the residual pass also sums the rows with
-    ``|r_i| <= (1 - BAND) tau_hat``. When the level lands in
-    ``((1 - BAND) tau_hat, (1 + BAND) tau_hat]``, :func:`_band_pass` adds
-    the rows in between, so the step costs one design pass. Otherwise, and
-    before the third iterate or after a zero level, the component takes a
-    full gradient pass; a missed prediction counts in `TgdTrace.fallbacks`.
-    A component reads only its own residuals and levels, so its result is
-    bit-identical to its solo run. Trace rows of component k log the error
-    against `truths[k]`, if given.
+    and the residual pass also sums the rows with ``|r_i| <= tau_hat``.
+    One :func:`_band_pass` then moves every sum to the exact level tau: it
+    adds the rows with ``tau_hat < |r_i| <= tau``, or subtracts those with
+    ``tau < |r_i| <= tau_hat``, weighted by ``-r_i``. A component with no
+    prediction (before the third iterate, or after a zero level) has summed
+    nothing, so that read covers its whole truncation set. A component
+    reads only its own residuals and levels, so its result is bit-identical
+    to its solo run. Trace rows of component k log the error against
+    `truths[k]`, if given.
 
     Iteration 0 takes its residuals from `first_residuals`, a (K, N) array
     whose row k holds ``<A_i, l r^T> - y_i`` of `inits[k]` (as
@@ -210,29 +201,23 @@ def refine_components(
     # iteration 0 predicts no level, so its residual pass would add no sums
     res = None if first_residuals is None else np.asarray(first_residuals, dtype=np.float64)
     while stepping:
-        guess = {j: taus[-1] * (taus[-1] / taus[-2])  # stepping row -> predicted level
+        guess = {j: taus[-1] * (taus[-1] / taus[-2])  # stepping row -> summed level
                  for j, taus in enumerate(traces[k].taus for k in stepping)
                  if len(taus) > 1 and taus[-1] > 0 and taus[-2] > 0}
         sums = np.zeros((len(stepping), dataset.n1 * dataset.n2))
         if res is None:
             res = _residual_pass(dataset, [factors[k] for k in stepping],
-                                 [(j, (1 - BAND) * tau, sums[j]) for j, tau in guess.items()])
-        bands, missed = [], []
+                                 [(j, tau, sums[j]) for j, tau in guess.items()])
+        bands = []
         for j, (k, row) in enumerate(zip(stepping, res)):
             abs_row = np.abs(row)
             trunc = truncation_set(abs_row, cfgs[k].alpha)
             traces[k].append(trunc.tau, trunc.indices.size, error(k))
-            cut = (1 - BAND) * guess.get(j, 0.0)
-            if cut < trunc.tau <= (1 + BAND) * guess.get(j, 0.0):
-                bands.append((j, (abs_row > cut) & (abs_row <= trunc.tau), sums[j]))
-            else:
-                traces[k].fallbacks += j in guess
-                sums[j] = 0.0
-                missed.append((j, trunc.tau, sums[j]))
-        if bands:
-            _band_pass(dataset, res, bands)
-        if missed:
-            _design_pass(dataset, res, [], missed)
+            summed = guess.get(j, -1.0)  # below every |r_i|: nothing summed
+            lo, hi = sorted((summed, trunc.tau))
+            bands.append((row if summed <= trunc.tau else -row,
+                          (abs_row > lo) & (abs_row <= hi), sums[j]))
+        _band_pass(dataset, bands)
         steps, stepping, res = stepping, [], None
         for j, k in enumerate(steps):
             f, cfg = factors[k], cfgs[k]

@@ -56,12 +56,12 @@ def truncated_gaussian_second_moment(x: float) -> float:
 def two_pass_refine(dataset, inits, cfgs, truths=None):
     """Reference stage 3: `scaledtgd.refine_components` with no predicted
     level, so every step makes a full residual pass and then a full gradient
-    pass. Each component sums its kept rows in its own order, one
-    zero-padded WIDTH-row GEMM per slice as in the library, and its final
-    iterate, which takes no step, gets a row with no level."""
+    pass. Each component sums its kept rows block by block, gathering them
+    as the library's correction read does for a step with no prediction,
+    and its final iterate, which takes no step, gets a row with no level."""
 
-    def slices(needed=None):
-        for lo, hi, rows in dataset.iter_design_blocks(needed):
+    def slices():
+        for lo, hi, rows in dataset.iter_design_blocks():
             for s in range(0, hi - lo, SUB):
                 yield slice(lo + s, min(lo + s + SUB, hi)), rows[s : s + SUB]
 
@@ -81,21 +81,17 @@ def two_pass_refine(dataset, inits, cfgs, truths=None):
             for row, pvec in zip(res, pvecs):
                 np.matmul(sub, pvec, out=row[at])
         res -= dataset.y
-        weights, needed = [], np.zeros(N, dtype=bool)
+        kept = []
         for k, row in zip(active, res):
             trunc = tgd.truncation_set(np.abs(row), cfgs[k].alpha)
             traces[k].append(trunc.tau, trunc.indices.size, error(k))
-            weights.append(np.where(np.abs(row) <= trunc.tau, row, 0.0))
-            needed[trunc.indices] = True
+            kept.append(np.abs(row) <= trunc.tau)
         grads = np.zeros((len(active), dataset.n1 * dataset.n2))
-        out = np.empty((tgd.WIDTH, dataset.n1 * dataset.n2))
-        for at, sub in slices(needed):
-            for g in range(0, len(active), tgd.WIDTH):
-                group = weights[g : g + tgd.WIDTH]
-                block = np.zeros((tgd.WIDTH, len(sub)))
-                block[: len(group)] = [w[at] for w in group]
-                np.matmul(block, sub, out=out)
-                grads[g : g + len(group)] += out[: len(group)]
+        for lo, hi, rows in dataset.iter_design_blocks(np.logical_or.reduce(kept)):
+            for grad, row, mask in zip(grads, res, kept):
+                at = np.flatnonzero(mask[lo:hi])
+                if at.size:
+                    grad += row[lo + at] @ rows[at]
         steps, active = active, []
         for k, grad in zip(steps, grads):
             f, cfg = factors[k], cfgs[k]

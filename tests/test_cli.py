@@ -133,6 +133,17 @@ class TestRunCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_rank_above_joint_rank_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "_run_trial", lambda *args, **kwargs: calls.append(args))
+        bad = tiny_config(K=2, ranks=[3, 1], pipeline={"t0": 10, "supplied_r_joint": 2})
+        path = write_config(tmp_path, bad)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert calls == [] and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and "entry 3" in err[0]
+
     def test_byte_identical_reruns(self, tmp_path):
         path = write_config(tmp_path, tiny_config())
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -346,8 +346,6 @@ class TestRefineComponents:
             assert all(same_run(a, b) for a, b in zip(runs[0], other))
 
     def test_regenerated_rows_per_pass(self, monkeypatch):
-        # a narrow band makes some predictions miss, so iterations from t = 2
-        # on mix fused components and fallbacks
         _, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
         events = []
         real_draw, real_trunc = synth._draw_rows, tgd.truncation_set
@@ -363,51 +361,49 @@ class TestRefineComponents:
 
         monkeypatch.setattr(synth, "_draw_rows", draw)
         monkeypatch.setattr(tgd, "truncation_set", trunc)
-        for band in (tgd.BAND, 0.02):
-            monkeypatch.setattr(tgd, "BAND", band)
-            events.clear()
-            runs = tgd.refine_components(ds, inits, cfgs)
-            unstored = list(range(ds.stored_rows, ds.N))
-            lengths = [len(run.trace) for run in runs]
-            pos, fused, band_reads, fallbacks = 0, 0, 0, [0] * len(runs)
-            # no residual walk after the last update: the final iterates
-            # take no step
-            for t in range(max(lengths) - 1):
-                active = [k for k, n in enumerate(lengths) if t < n - 1]
-                # the residual pass: every unstored row once, for the
-                # components that step
-                assert events[pos : pos + len(unstored)] == unstored
-                pos += len(unstored)
-                seen = dict(zip(active, events[pos : pos + len(active)]))
-                pos += len(active)
-                band_rows, kept_rows = set(), set()
-                for k in active:
-                    kept, abs_res, tau = seen[k]
-                    taus = runs[k].trace.taus[:t]
-                    guess = taus[-1] * (taus[-1] / taus[-2]) if t >= 2 else 0.0
-                    cut = (1 - band) * guess
-                    if cut < tau <= (1 + band) * guess:
-                        fused += 1
-                        band_rows |= set(np.flatnonzero((abs_res > cut) & (abs_res <= tau)).tolist())
-                    else:
-                        fallbacks[k] += t >= 2
-                        kept_rows |= kept
-                if band_rows:
-                    # the band read: only unstored rows in some fused component's band
-                    wanted = [i for i in unstored if i in band_rows]
-                    assert len(wanted) < len(unstored) // 10
-                    assert events[pos : pos + len(wanted)] == wanted
-                    pos += len(wanted)
-                    band_reads += len(wanted)
-                if kept_rows:
-                    # the gradient pass: only unstored rows some fallback keeps
-                    wanted = [i for i in unstored if i in kept_rows]
-                    assert 0 < len(wanted) < len(unstored)
-                    assert events[pos : pos + len(wanted)] == wanted
-                    pos += len(wanted)
-            assert pos == len(events)
-            assert fallbacks == [run.trace.fallbacks for run in runs]
-            assert fused > 0 and band_reads > 0 and sum(fallbacks) > 0
+        runs = tgd.refine_components(ds, inits, cfgs)
+        unstored = list(range(ds.stored_rows, ds.N))
+        lengths = [len(run.trace) for run in runs]
+        pos, predicted = 0, 0
+        # no residual walk after the last update: the final iterates take
+        # no step
+        for t in range(max(lengths) - 1):
+            active = [k for k, n in enumerate(lengths) if t < n - 1]
+            # the residual walk: every unstored row once, for the components
+            # that step
+            assert events[pos : pos + len(unstored)] == unstored
+            pos += len(unstored)
+            seen = dict(zip(active, events[pos : pos + len(active)]))
+            pos += len(active)
+            read = set()
+            for k in active:
+                kept, abs_res, tau = seen[k]
+                taus = runs[k].trace.taus[:t]
+                if t < 2:  # no prediction: the whole truncation set
+                    read |= kept
+                    continue
+                assert taus[-1] > 0 and taus[-2] > 0
+                lo, hi = sorted((taus[-1] * (taus[-1] / taus[-2]), tau))
+                read |= set(np.flatnonzero((abs_res > lo) & (abs_res <= hi)).tolist())
+                predicted += 1
+            # the correction read: only unstored rows between some
+            # component's summed level and its exact level
+            wanted = [i for i in unstored if i in read]
+            if t >= 2:
+                assert len(wanted) < len(unstored) // 10
+            else:
+                assert 0 < len(wanted) < len(unstored)
+            assert events[pos : pos + len(wanted)] == wanted
+            pos += len(wanted)
+        assert pos == len(events)
+        assert predicted > 0
+
+    def test_mismatched_factor_shape(self):
+        _, ds, inits, cfgs = mixture_problem(stored_budget=0, N=60)
+        bad = FactorPair(l=np.vstack([inits[0].l, inits[0].l[:1]]), r=inits[0].r)
+        assert bad.l.shape[0] == ds.n1 + 1
+        with pytest.raises(InvalidInputError, match="factor shapes"):
+            tgd.refine_components(ds, [bad, *inits[1:]], cfgs)
 
     def test_final_iterates_read_no_designs(self, monkeypatch):
         gt, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
@@ -455,16 +451,6 @@ class TestRefineComponents:
             tgd.refine_components(ds, inits, cfgs[:2])
 
 
-def same_arithmetic(a, b):
-    """Same final factors and trace rows, bit for bit; fallback counts aside."""
-    return (
-        a.final.l.tobytes() == b.final.l.tobytes()
-        and a.final.r.tobytes() == b.final.r.tobytes()
-        and list(a.trace.rows()) == list(b.trace.rows())
-        and a.trace.stop_reason == b.trace.stop_reason
-    )
-
-
 def rank2_problem(t0, N=3000, seed=1):
     """K = 2 rank-2 mixture on 12 x 10 matrices, initializations near the
     planted components."""
@@ -479,19 +465,9 @@ def rank2_problem(t0, N=3000, seed=1):
 
 
 class TestPredictedBand:
-    def test_zero_width_band_is_the_two_pass_loop(self, monkeypatch):
-        # an empty band misses every prediction, so every step takes the
-        # full gradient pass, as the reference does
-        monkeypatch.setattr(tgd, "BAND", 0.0)
-        for rows in (2100, 1500, 0):
-            gt, ds, inits, cfgs = mixture_problem(stored_budget=rows * 30)
-            runs = tgd.refine_components(ds, inits, cfgs, gt.matrices())
-            for run, ref in zip(runs, two_pass_refine(ds, inits, cfgs, gt.matrices())):
-                assert same_arithmetic(run, ref)
-                assert run.trace.fallbacks == len(run.trace) - 3  # every step from t = 2 on
-
     def test_default_band_agrees_with_the_two_pass_loop(self):
-        for gt, ds, inits, cfgs in (mixture_problem(stored_budget=1500 * 30), rank2_problem(t0=30)):
+        for gt, ds, inits, cfgs in (mixture_problem(stored_budget=1500 * 30), rank2_problem(t0=30),
+                                    five_component_problem()):
             runs = tgd.refine_components(ds, inits, cfgs, gt.matrices())
             refs = two_pass_refine(ds, inits, cfgs, gt.matrices())
             for run, ref in zip(runs, refs):
@@ -500,9 +476,8 @@ class TestPredictedBand:
                 assert run.trace.kept_counts == ref.trace.kept_counts
                 p, q = run.final.product(), ref.final.product()
                 assert np.linalg.norm(p - q) <= 1e-12 * np.linalg.norm(q)
-            # most steps from t = 2 on were fused
-            assert 2 * sum(run.trace.fallbacks for run in runs) < sum(len(run.trace) - 3 for run in runs)
-            # the band rows a component adds are its own, so it runs as it would alone
+            # the rows a component adds or subtracts are its own, so it runs
+            # as it would alone
             for run, f0, cfg, truth in zip(runs, inits, cfgs, gt.matrices()):
                 assert same_run(run, tgd.refine_components(ds, [f0], [cfg], [truth])[0])
 
@@ -512,27 +487,37 @@ class TestPredictedBand:
         cfgs = [tgd.TgdConfig(eta=3.9, alpha=0.8 / 3, t0=t0)] * 3
         runs = tgd.refine_components(ds, inits, cfgs, gt.matrices())
         for run, ref in zip(runs, two_pass_refine(ds, inits, cfgs, gt.matrices())):
-            assert same_run(run, ref)  # fallback counts included: there are none
+            assert same_run(run, ref)  # no step has a prediction
 
-    def test_fallback_count(self, monkeypatch):
-        # count the components in each full gradient pass from t = 2 on
-        seen, t = [], [0]
-        real_pass = tgd._design_pass
+    def test_refine_both_adds_and_subtracts(self, monkeypatch):
+        # from t = 2 on, each correction read adds the rows up to an exact
+        # level above the summed one, or subtracts those down to one below it
+        residuals, counted = [], {"add": 0, "subtract": 0}
+        real_pass, real_band = tgd._residual_pass, tgd._band_pass
 
-        def design_pass(dataset, res, pvecs, sums):
-            t[0] += bool(pvecs)  # residual passes start the iterations
-            if not pvecs and t[0] > 2:
-                seen.extend(row for row, _, _ in sums)
-            return real_pass(dataset, res, pvecs, sums)
+        def residual_pass(*args):
+            residuals.append(real_pass(*args))
+            return residuals[-1]
 
-        monkeypatch.setattr(tgd, "_design_pass", design_pass)
-        for band in (tgd.BAND, 0.02):
-            monkeypatch.setattr(tgd, "BAND", band)
-            seen.clear()
-            t[0] = 0
-            _, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
-            runs = tgd.refine_components(ds, inits, cfgs)
-            assert sum(run.trace.fallbacks for run in runs) == len(seen) > 0
+        def band_pass(dataset, bands):
+            if len(residuals) > 2:
+                for (weights, _, _), row in zip(bands, residuals[-1]):
+                    added = np.array_equal(weights, row)
+                    assert added or np.array_equal(weights, -row)
+                    counted["add" if added else "subtract"] += 1
+            return real_band(dataset, bands)
+
+        monkeypatch.setattr(tgd, "_residual_pass", residual_pass)
+        monkeypatch.setattr(tgd, "_band_pass", band_pass)
+        _, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
+        runs = tgd.refine_components(ds, inits, cfgs)
+        expected = {"add": 0, "subtract": 0}
+        for run in runs:
+            taus = run.trace.taus[:-1]  # the final iterate has no level
+            for t in range(2, len(taus)):
+                guess = taus[t - 1] * (taus[t - 1] / taus[t - 2])
+                expected["add" if guess <= taus[t] else "subtract"] += 1
+        assert counted == expected and min(counted.values()) > 0
 
 
 def five_component_problem(N=2100, seed=5):
@@ -570,32 +555,54 @@ class TestGradientKernel:
             exact = np.array([math.fsum(col) for col in terms.T])
             assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact)
 
-        # the gradient-only pass reads the kept rows alone and gives the
-        # same bits, and so does each sum taken alone, in row 0 of its block
-        assert not np.logical_or.reduce(np.abs(res) <= cuts[:, None]).all()
-        grads = np.zeros_like(fused)
-        tgd._design_pass(ds, res, [], [(j, cut, grads[j]) for j, cut in enumerate(cuts)])
-        assert grads.tobytes() == fused.tobytes()
+        # each sum taken alone, in row 0 of its block, has the same bits
         for j, cut in enumerate(cuts):
             alone = np.zeros(ds.n1 * ds.n2)
-            tgd._design_pass(ds, res, [], [(j, cut, alone)])
+            tgd._residual_pass(ds, inits, [(j, cut, alone)])
             assert alone.tobytes() == fused[j].tobytes()
 
-    def test_components_moving_between_blocks_match_their_solo_runs(self):
+    def test_correction_read_lands_on_the_exact_level(self):
+        # a summed level above tau, at tau, below tau, and nothing summed:
+        # the fused sum plus the correction read is the sum over |r_i| <= tau
+        _, ds, inits, _ = five_component_problem()
+        assert ds.N % synth.SUB and len(inits) > tgd.WIDTH
+        res = tgd._residual_pass(ds, inits)
+        absr = np.abs(res)
+        tau = np.array([tgd.truncation_set(a, 0.16).tau for a in absr])[:, None]
+        designs = stacked_rows(ds, np.arange(ds.N))
+        cases = {  # summed level -> (weights, rows the read covers)
+            "above": (1.2 * tau, -res, (absr > tau) & (absr <= 1.2 * tau)),
+            "equal": (tau, res, np.zeros_like(absr, dtype=bool)),
+            "below": (0.8 * tau, res, (absr > 0.8 * tau) & (absr <= tau)),
+            "nothing": (None, res, absr <= tau),
+        }
+        for case, (level, weights, masks) in cases.items():
+            sums = np.zeros((len(inits), ds.n1 * ds.n2))
+            if level is not None:
+                tgd._residual_pass(ds, inits, [(j, level[j, 0], sums[j]) for j in range(len(inits))])
+            tgd._band_pass(ds, list(zip(weights, masks, sums)))
+            for r, t, got in zip(res, tau[:, 0], sums):
+                kept = np.abs(r) <= t
+                exact = np.array([math.fsum(col) for col in (r[kept, None] * designs[kept]).T])
+                assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact), case
+            if case != "equal":
+                assert masks.any(axis=1).all()  # every component reads some rows
+
+    def test_components_moving_between_blocks_match_their_solo_runs(self, monkeypatch):
         gt, ds, inits, cfgs = five_component_problem()
         truths = gt.matrices()
+        summed, real_pass = [], tgd._residual_pass
+
+        def residual_pass(dataset, factor_list, sums=()):
+            summed.append(len(sums))
+            return real_pass(dataset, factor_list, sums)
+
+        monkeypatch.setattr(tgd, "_residual_pass", residual_pass)
         runs = tgd.refine_components(ds, inits, cfgs, truths)
         lengths = [len(run.trace) for run in runs]
         assert lengths[0] == 4 and min(lengths[1:]) > 5
-        # most steps from t = 2 on were fused: the residual pass summed five
-        # components in two weight blocks at t = 2, and four in one after
-        assert sum(run.trace.fallbacks for run in runs) < sum(n - 3 for n in lengths)
+        # the residual pass summed five components in two weight blocks at
+        # t = 2, and four in one at t = 3
+        assert summed[2:4] == [5, 4]
         for run, f0, cfg, truth in zip(runs, inits, cfgs, truths):
             assert same_run(run, tgd.refine_components(ds, [f0], [cfg], [truth])[0])
-
-    def test_wide_mixture_is_the_two_pass_loop(self, monkeypatch):
-        monkeypatch.setattr(tgd, "BAND", 0.0)
-        gt, ds, inits, cfgs = five_component_problem()
-        runs = tgd.refine_components(ds, inits, cfgs, gt.matrices())
-        for run, ref in zip(runs, two_pass_refine(ds, inits, cfgs, gt.matrices())):
-            assert same_arithmetic(run, ref)
