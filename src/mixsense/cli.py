@@ -164,10 +164,19 @@ def _write_csv(path: Path, header: List[str], rows: List[list]):
         writer.writerows(rows)
 
 
-def cmd_run(cfg: ExperimentConfig, out: Path) -> Optional[dict]:
-    if isinstance(cfg.sigma, list):
+def _sigmas(command: str, cfg: ExperimentConfig) -> List[float]:
+    """The noise levels `command` runs at: one scalar for run, a non-empty
+    list (or a scalar) for sweep-noise."""
+    if command == "run" and isinstance(cfg.sigma, list):
         raise ConfigError("run needs a scalar sigma (lists are for sweep-noise)")
-    done, failed = _run_trials(cfg, [cfg.sigma])
+    sigmas = cfg.sigma if isinstance(cfg.sigma, list) else [cfg.sigma]
+    if not sigmas:
+        raise ConfigError("sweep-noise needs a non-empty sigma list")
+    return sigmas
+
+
+def cmd_run(cfg: ExperimentConfig, sigmas: List[float], out: Path) -> Optional[dict]:
+    done, failed = _run_trials(cfg, sigmas)
     _write_csv(out / "summary.csv", ["seed", "component", "rel_error", "init_error", "R_used"],
                [[seed, k, comp.rel_error, comp.init_error, report.stage1.r_used]
                 for _, seed, report in done for k, comp in enumerate(report.per_component)])
@@ -185,10 +194,7 @@ def cmd_run(cfg: ExperimentConfig, out: Path) -> Optional[dict]:
     return failed
 
 
-def cmd_sweep_noise(cfg: ExperimentConfig, out: Path) -> Optional[dict]:
-    sigmas = cfg.sigma if isinstance(cfg.sigma, list) else [cfg.sigma]
-    if not sigmas:
-        raise ConfigError("sweep-noise needs a non-empty sigma list")
+def cmd_sweep_noise(cfg: ExperimentConfig, sigmas: List[float], out: Path) -> Optional[dict]:
     done, failed = _run_trials(cfg, sigmas)
     worst: List[List[float]] = [[] for _ in sigmas]
     for s_idx, _, report in done:
@@ -213,13 +219,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        sigmas = _sigmas(args.command, cfg)  # before any output is made
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             print(f"error: cannot make output directory {out}: {exc}", file=sys.stderr)
             return 2
-        failed = COMMANDS[args.command](cfg, out)
+        failed = COMMANDS[args.command](cfg, sigmas, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -79,21 +79,25 @@ class TgdRun(NamedTuple):
     trace: TgdTrace
 
 
-def _residual_pass(dataset: Dataset, factor_list: Sequence[FactorPair], sums=()) -> np.ndarray:
+def _residual_pass(dataset: Dataset, factor_list: Sequence[FactorPair],
+                   levels=(), sums=None) -> np.ndarray:
     """Signed residuals ``<A_i, l r^T> - y_i`` of each factor pair, one row
     per pair, from one walk over the design blocks SUB rows at a time. Each
     slice, while in cache, fills row j with the residuals of pair j (one
     GEMV each, with the bits of the whole-block product that made y, so
-    fixed points stay bit-exact), then adds ``r_i A_i`` over its samples
-    with ``|r_i| <= cut`` to `acc`, for each ``(row, cut, acc)`` in `sums`
-    and ``r`` the residuals of that row. The sums take one GEMM per slice
-    and group of WIDTH entries of `sums`: a zero-padded WIDTH-row weight
-    block times the slice."""
+    fixed points stay bit-exact). With `levels`, one summed level per pair,
+    it then adds ``r_i A_i`` over its samples with ``|r_i| <= levels[j]`` to
+    row j of `sums`, a (K, n1 * n2) array, for r the residuals of pair j; a
+    negative level sums nothing. Each group of WIDTH consecutive pairs with
+    some level >= 0 takes one GEMM per slice: a zero-padded WIDTH-row
+    weight block times the slice."""
     if any(f.l.shape[0] != dataset.n1 or f.r.shape[0] != dataset.n2 for f in factor_list):
         raise InvalidInputError("factor shapes do not match the dataset")
     pvecs = [f.product().ravel() for f in factor_list]
     res = np.empty((len(pvecs), dataset.N))
-    groups = [sums[g : g + WIDTH] for g in range(0, len(sums), WIDTH)]
+    levels = np.asarray(levels, dtype=np.float64)
+    groups = [slice(g, g + WIDTH) for g in range(0, len(levels), WIDTH)
+              if (levels[g : g + WIDTH] >= 0.0).any()]
     block = np.zeros((WIDTH, SUB))
     grads = np.empty((WIDTH, dataset.n1 * dataset.n2))
     for lo, hi, rows in dataset.iter_design_blocks():
@@ -104,13 +108,11 @@ def _residual_pass(dataset: Dataset, factor_list: Sequence[FactorPair], sums=())
             res[:, at] -= dataset.y[at]
             weights = block[:, : len(sub)]
             for group in groups:
-                for w, (row, cut, _) in zip(weights, group):
-                    r = res[row, at]
-                    w[:] = np.where(np.abs(r) <= cut, r, 0.0)
-                weights[len(group) :] = 0.0
+                r = res[group, at]
+                weights[: len(r)] = np.where(np.abs(r) <= levels[group, None], r, 0.0)
+                weights[len(r) :] = 0.0
                 np.matmul(weights, sub, out=grads)
-                for grad, (_, _, acc) in zip(grads, group):
-                    acc += grad
+                sums[group] += grads[: len(r)]
     return res
 
 
@@ -170,17 +172,18 @@ def refine_components(
     trace row holds only the error. So a budget of t0 steps makes t0
     residual passes, t0 - 1 with `first_residuals`.
 
-    From the third iterate on, the level is predicted as
-    ``tau_hat = tau_{t-1}^2 / tau_{t-2}`` (the error contracts linearly),
-    and the residual pass also sums the rows with ``|r_i| <= tau_hat``.
-    One :func:`_band_pass` then moves every sum to the exact level tau: it
-    adds the rows with ``tau_hat < |r_i| <= tau``, or subtracts those with
-    ``tau < |r_i| <= tau_hat``, weighted by ``-r_i``. A component with no
-    prediction (before the third iterate, or after a zero level) has summed
-    nothing, so that read covers its whole truncation set. A component
-    reads only its own residuals and levels, so its result is bit-identical
-    to its solo run. Trace rows of component k log the error against
-    `truths[k]`, if given.
+    From the second iterate on, a component whose last level is positive
+    predicts its level: ``tau_hat = tau_{t-1}^2 / tau_{t-2}`` (the error
+    contracts linearly), or ``tau_hat = tau_{t-1}`` when the level before
+    is not positive or there is none. The residual pass also sums the rows
+    with ``|r_i| <= tau_hat``. One :func:`_band_pass` then moves every sum
+    to the exact level tau: it adds the rows with ``tau_hat < |r_i| <= tau``,
+    or subtracts those with ``tau < |r_i| <= tau_hat``, weighted by
+    ``-r_i``. A component with no prediction (the first iterate, or after a
+    zero level) has summed nothing, so that read covers its whole
+    truncation set. A component reads only its own residuals and levels,
+    so its result is bit-identical to its solo run. Trace rows of component
+    k log the error against `truths[k]`, if given.
 
     Iteration 0 takes its residuals from `first_residuals`, a (K, N) array
     whose row k holds ``<A_i, l r^T> - y_i`` of `inits[k]` (as
@@ -201,22 +204,20 @@ def refine_components(
     # iteration 0 predicts no level, so its residual pass would add no sums
     res = None if first_residuals is None else np.asarray(first_residuals, dtype=np.float64)
     while stepping:
-        guess = {j: taus[-1] * (taus[-1] / taus[-2])  # stepping row -> summed level
-                 for j, taus in enumerate(traces[k].taus for k in stepping)
-                 if len(taus) > 1 and taus[-1] > 0 and taus[-2] > 0}
+        summed = [taus[-1] * (taus[-1] / taus[-2] if len(taus) > 1 and taus[-2] > 0 else 1.0)
+                  if taus and taus[-1] > 0 else -1.0  # -1: below every |r_i|, sums nothing
+                  for taus in (traces[k].taus for k in stepping)]
         sums = np.zeros((len(stepping), dataset.n1 * dataset.n2))
         if res is None:
-            res = _residual_pass(dataset, [factors[k] for k in stepping],
-                                 [(j, tau, sums[j]) for j, tau in guess.items()])
+            res = _residual_pass(dataset, [factors[k] for k in stepping], summed, sums)
         bands = []
-        for j, (k, row) in enumerate(zip(stepping, res)):
+        for k, row, level, acc in zip(stepping, res, summed, sums):
             abs_row = np.abs(row)
             trunc = truncation_set(abs_row, cfgs[k].alpha)
             traces[k].append(trunc.tau, trunc.indices.size, error(k))
-            summed = guess.get(j, -1.0)  # below every |r_i|: nothing summed
-            lo, hi = sorted((summed, trunc.tau))
-            bands.append((row if summed <= trunc.tau else -row,
-                          (abs_row > lo) & (abs_row <= hi), sums[j]))
+            lo, hi = sorted((level, trunc.tau))
+            bands.append((row if level <= trunc.tau else -row,
+                          (abs_row > lo) & (abs_row <= hi), acc))
         _band_pass(dataset, bands)
         steps, stepping, res = stepping, [], None
         for j, k in enumerate(steps):

@@ -220,6 +220,7 @@ class TestRunCommand:
         path = write_config(tmp_path, tiny_config(sigma=[0.0, 0.1]))
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()  # checked before the output directory is made
 
 
 class TestTraceOutput:
@@ -312,3 +313,4 @@ class TestSweepCommand:
         path = write_config(tmp_path, tiny_config(sigma=[]))
         out = tmp_path / "out"
         assert cli.main(["sweep-noise", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()  # checked before the output directory is made

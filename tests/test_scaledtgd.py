@@ -375,28 +375,59 @@ class TestRefineComponents:
             pos += len(unstored)
             seen = dict(zip(active, events[pos : pos + len(active)]))
             pos += len(active)
-            read = set()
+            read, union = set(), set()
             for k in active:
                 kept, abs_res, tau = seen[k]
+                union |= kept
                 taus = runs[k].trace.taus[:t]
-                if t < 2:  # no prediction: the whole truncation set
+                if t == 0:  # no prediction: the whole truncation set
                     read |= kept
                     continue
-                assert taus[-1] > 0 and taus[-2] > 0
-                lo, hi = sorted((taus[-1] * (taus[-1] / taus[-2]), tau))
+                # from the second step on the summed level is predicted, with
+                # ratio 1 at t = 1
+                assert taus[-1] > 0 and (t == 1 or taus[-2] > 0)
+                ratio = taus[-1] / taus[-2] if t > 1 else 1.0
+                lo, hi = sorted((taus[-1] * ratio, tau))
                 read |= set(np.flatnonzero((abs_res > lo) & (abs_res <= hi)).tolist())
                 predicted += 1
             # the correction read: only unstored rows between some
             # component's summed level and its exact level
             wanted = [i for i in unstored if i in read]
-            if t >= 2:
-                assert len(wanted) < len(unstored) // 10
-            else:
+            if t == 0:
                 assert 0 < len(wanted) < len(unstored)
+            elif t == 1:  # the band between tau_0 and tau_1, not the kept sets
+                assert 0 < len(wanted) < len([i for i in unstored if i in union])
+            else:
+                assert len(wanted) < len(unstored) // 10
             assert events[pos : pos + len(wanted)] == wanted
             pos += len(wanted)
         assert pos == len(events)
         assert predicted > 0
+
+    def test_second_step_reads_only_its_band(self, monkeypatch):
+        # 40% stored, t0 = 2 from stage-2-style residuals: step 0 gathers its
+        # kept rows, step 1 walks the residuals once and then reads only the
+        # rows between tau_0 and tau_1
+        gt, ds, inits, _ = mixture_problem(stored_budget=840 * 30)
+        one, two = ([tgd.TgdConfig(eta=3.9, alpha=0.8 / 3, t0=t0)] * 3 for t0 in (1, 2))
+        first = tgd._residual_pass(ds, inits)
+        iterate1 = [run.final for run in tgd.refine_components(ds, inits, one, None, first)]
+        second = tgd._residual_pass(ds, iterate1)
+        drawn, real_draw = [], synth._draw_rows
+
+        def draw(seed, idx, out, at):
+            drawn.append(len(idx))
+            return real_draw(seed, idx, out, at)
+
+        monkeypatch.setattr(synth, "_draw_rows", draw)
+        runs = tgd.refine_components(ds, inits, two, None, first)
+        taus = np.array([run.trace.taus[:2] for run in runs])
+        kept = (np.abs(first) <= taus[:, :1]).any(axis=0)
+        lo, hi = taus.min(axis=1, keepdims=True), taus.max(axis=1, keepdims=True)
+        band = ((np.abs(second) > lo) & (np.abs(second) <= hi)).any(axis=0)
+        unstored = slice(ds.stored_rows, ds.N)
+        assert 0 < band[unstored].sum() < kept[unstored].sum()
+        assert sum(drawn) == kept[unstored].sum() + (ds.N - ds.stored_rows) + band[unstored].sum()
 
     def test_mismatched_factor_shape(self):
         _, ds, inits, cfgs = mixture_problem(stored_budget=0, N=60)
@@ -424,9 +455,9 @@ class TestRefineComponents:
             events.append("update")
             return real_update(*args)
 
-        def residual_pass(dataset, factor_list, sums=()):
+        def residual_pass(dataset, factor_list, *args):
             passes.append(len(factor_list))
-            return real_pass(dataset, factor_list, sums)
+            return real_pass(dataset, factor_list, *args)
 
         monkeypatch.setattr(synth, "_draw_rows", draw)
         monkeypatch.setattr(synth.Dataset, "iter_design_blocks", blocks)
@@ -464,33 +495,42 @@ def rank2_problem(t0, N=3000, seed=1):
     return gt, ds, inits, [tgd.TgdConfig(eta=2.6, alpha=0.4, t0=t0)] * 2
 
 
+def assert_agrees_with_the_two_pass_loop(ds, inits, cfgs, truths):
+    """Predicted steps sum in another order than the reference loop: same
+    kept counts and stop reasons, products within 1e-12, and each
+    component bit-identical to its solo run."""
+    runs = tgd.refine_components(ds, inits, cfgs, truths)
+    for run, ref in zip(runs, two_pass_refine(ds, inits, cfgs, truths)):
+        assert len(run.trace) == len(ref.trace)
+        assert run.trace.stop_reason == ref.trace.stop_reason
+        assert run.trace.kept_counts == ref.trace.kept_counts
+        p, q = run.final.product(), ref.final.product()
+        assert np.linalg.norm(p - q) <= 1e-12 * np.linalg.norm(q)
+    # the rows a component adds or subtracts are its own, so it runs as it
+    # would alone
+    for run, f0, cfg, truth in zip(runs, inits, cfgs, truths):
+        assert same_run(run, tgd.refine_components(ds, [f0], [cfg], [truth])[0])
+
+
 class TestPredictedBand:
     def test_default_band_agrees_with_the_two_pass_loop(self):
         for gt, ds, inits, cfgs in (mixture_problem(stored_budget=1500 * 30), rank2_problem(t0=30),
                                     five_component_problem()):
-            runs = tgd.refine_components(ds, inits, cfgs, gt.matrices())
-            refs = two_pass_refine(ds, inits, cfgs, gt.matrices())
-            for run, ref in zip(runs, refs):
-                assert len(run.trace) == len(ref.trace)
-                assert run.trace.stop_reason == ref.trace.stop_reason
-                assert run.trace.kept_counts == ref.trace.kept_counts
-                p, q = run.final.product(), ref.final.product()
-                assert np.linalg.norm(p - q) <= 1e-12 * np.linalg.norm(q)
-            # the rows a component adds or subtracts are its own, so it runs
-            # as it would alone
-            for run, f0, cfg, truth in zip(runs, inits, cfgs, gt.matrices()):
-                assert same_run(run, tgd.refine_components(ds, [f0], [cfg], [truth])[0])
+            assert_agrees_with_the_two_pass_loop(ds, inits, cfgs, gt.matrices())
 
     @pytest.mark.parametrize("t0", [1, 2])
     def test_short_runs_are_the_two_pass_loop(self, t0):
         gt, ds, inits, _ = mixture_problem(stored_budget=1500 * 30)
         cfgs = [tgd.TgdConfig(eta=3.9, alpha=0.8 / 3, t0=t0)] * 3
+        if t0 == 2:  # the second step sums to a predicted level
+            assert_agrees_with_the_two_pass_loop(ds, inits, cfgs, gt.matrices())
+            return
         runs = tgd.refine_components(ds, inits, cfgs, gt.matrices())
         for run, ref in zip(runs, two_pass_refine(ds, inits, cfgs, gt.matrices())):
             assert same_run(run, ref)  # no step has a prediction
 
     def test_refine_both_adds_and_subtracts(self, monkeypatch):
-        # from t = 2 on, each correction read adds the rows up to an exact
+        # from t = 1 on, each correction read adds the rows up to an exact
         # level above the summed one, or subtracts those down to one below it
         residuals, counted = [], {"add": 0, "subtract": 0}
         real_pass, real_band = tgd._residual_pass, tgd._band_pass
@@ -500,7 +540,7 @@ class TestPredictedBand:
             return residuals[-1]
 
         def band_pass(dataset, bands):
-            if len(residuals) > 2:
+            if len(residuals) > 1:
                 for (weights, _, _), row in zip(bands, residuals[-1]):
                     added = np.array_equal(weights, row)
                     assert added or np.array_equal(weights, -row)
@@ -514,8 +554,8 @@ class TestPredictedBand:
         expected = {"add": 0, "subtract": 0}
         for run in runs:
             taus = run.trace.taus[:-1]  # the final iterate has no level
-            for t in range(2, len(taus)):
-                guess = taus[t - 1] * (taus[t - 1] / taus[t - 2])
+            for t in range(1, len(taus)):  # ratio 1 at t = 1
+                guess = taus[t - 1] * (taus[t - 1] / taus[t - 2] if t > 1 else 1.0)
                 expected["add" if guess <= taus[t] else "subtract"] += 1
         assert counted == expected and min(counted.values()) > 0
 
@@ -547,7 +587,7 @@ class TestGradientKernel:
         res = tgd._residual_pass(ds, inits)
         cuts = np.quantile(np.abs(res), 0.1, axis=1)
         fused = np.zeros((len(inits), ds.n1 * ds.n2))
-        again = tgd._residual_pass(ds, inits, [(j, cut, fused[j]) for j, cut in enumerate(cuts)])
+        again = tgd._residual_pass(ds, inits, cuts, fused)
         assert again.tobytes() == res.tobytes()  # summing changes no residual
         designs = stacked_rows(ds, np.arange(ds.N))
         for r, cut, got in zip(res, cuts, fused):
@@ -555,11 +595,19 @@ class TestGradientKernel:
             exact = np.array([math.fsum(col) for col in terms.T])
             assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact)
 
-        # each sum taken alone, in row 0 of its block, has the same bits
+        # each sum taken alone, a one-factor pass in row 0 of its block, has
+        # the same bits
         for j, cut in enumerate(cuts):
-            alone = np.zeros(ds.n1 * ds.n2)
-            tgd._residual_pass(ds, inits, [(j, cut, alone)])
-            assert alone.tobytes() == fused[j].tobytes()
+            alone = np.zeros((1, ds.n1 * ds.n2))
+            tgd._residual_pass(ds, inits[j : j + 1], cuts[j : j + 1], alone)
+            assert alone[0].tobytes() == fused[j].tobytes()
+
+        # a negative level sums nothing, and the others in its weight block
+        # keep their bits
+        partial = np.zeros_like(fused)
+        tgd._residual_pass(ds, inits, np.where(np.arange(len(cuts)) == 1, -1.0, cuts), partial)
+        assert partial[1].tobytes() == np.zeros(ds.n1 * ds.n2).tobytes()
+        assert np.delete(partial, 1, axis=0).tobytes() == np.delete(fused, 1, axis=0).tobytes()
 
     def test_correction_read_lands_on_the_exact_level(self):
         # a summed level above tau, at tau, below tau, and nothing summed:
@@ -579,7 +627,7 @@ class TestGradientKernel:
         for case, (level, weights, masks) in cases.items():
             sums = np.zeros((len(inits), ds.n1 * ds.n2))
             if level is not None:
-                tgd._residual_pass(ds, inits, [(j, level[j, 0], sums[j]) for j in range(len(inits))])
+                tgd._residual_pass(ds, inits, level[:, 0], sums)
             tgd._band_pass(ds, list(zip(weights, masks, sums)))
             for r, t, got in zip(res, tau[:, 0], sums):
                 kept = np.abs(r) <= t
@@ -593,16 +641,16 @@ class TestGradientKernel:
         truths = gt.matrices()
         summed, real_pass = [], tgd._residual_pass
 
-        def residual_pass(dataset, factor_list, sums=()):
-            summed.append(len(sums))
-            return real_pass(dataset, factor_list, sums)
+        def residual_pass(dataset, factor_list, levels, sums):
+            summed.append(int((np.asarray(levels) >= 0).sum()))
+            return real_pass(dataset, factor_list, levels, sums)
 
         monkeypatch.setattr(tgd, "_residual_pass", residual_pass)
         runs = tgd.refine_components(ds, inits, cfgs, truths)
         lengths = [len(run.trace) for run in runs]
         assert lengths[0] == 4 and min(lengths[1:]) > 5
-        # the residual pass summed five components in two weight blocks at
-        # t = 2, and four in one at t = 3
-        assert summed[2:4] == [5, 4]
+        # the residual pass summed no component at t = 0, five in two weight
+        # blocks at t = 1 and 2, and four in one at t = 3
+        assert summed[:4] == [0, 5, 5, 4]
         for run, f0, cfg, truth in zip(runs, inits, cfgs, truths):
             assert same_run(run, tgd.refine_components(ds, [f0], [cfg], [truth])[0])
