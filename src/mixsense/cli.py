@@ -77,7 +77,8 @@ class ExperimentConfig:
 def parse_config(raw: dict) -> ExperimentConfig:
     """Check a config before any trial runs. The library checks the planted
     mixture, K, the seed and the pipeline section, as trial 0's ground truth
-    and `PipelineConfig` are built; the rest is checked here."""
+    and `PipelineConfig` are built; the rest, and the supplied ranks against
+    the matrix size, is checked here."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     keys = fields(ExperimentConfig)
@@ -99,11 +100,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
             core.check_finite(sigma, "sigma")
         make_ground_truth(cfg.n1, cfg.n2, cfg.ranks, cfg.resolved_proportions(),
                           cfg.resolved_spectra(), cfg.seed)
-        _pipeline_config(cfg, seed=cfg.seed)
+        pipe = _pipeline_config(cfg, seed=cfg.seed)
         core.check_int(cfg.resolved_n(), "N", cfg.K)
     except (TypeError, InvalidInputError) as exc:
         # a TypeError is an unknown pipeline key or a value of the wrong shape
         raise ConfigError(str(exc)) from exc
+    for r in (pipe.supplied_r_joint, *(pipe.supplied_ranks or ())):
+        if r is not None and r > min(cfg.n1, cfg.n2):
+            raise ConfigError(f"supplied rank {r} exceeds min(n1, n2) = {min(cfg.n1, cfg.n2)}")
     return cfg
 
 

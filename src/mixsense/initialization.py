@@ -72,18 +72,6 @@ def lift_and_factor(beta_hat: np.ndarray, sub: SubspaceEstimate, r_k: int) -> Fa
     return FactorPair(l=(sub.u @ res.u[:, :r_k]) * root, r=(sub.v @ res.v[:, :r_k]) * root)
 
 
-def estimate_component_ranks(s_hats: Sequence[np.ndarray]) -> List[int]:
-    """Spectral-gap rank estimate for each compressed component matrix.
-
-    A rank of 0 marks a degenerate (all-zero) spectrum.
-    """
-    ranks = []
-    for s_hat in s_hats:
-        s = np.linalg.svd(s_hat, compute_uv=False)
-        ranks.append(spectral.estimate_rank(s, max_rank=s.size))
-    return ranks
-
-
 @dataclass(frozen=True)
 class InitializationResult:
     """The lifted factors, the mixed-regression estimate, and the signed
@@ -98,35 +86,32 @@ class InitializationResult:
 def initialize_all(
     dataset: Dataset,
     sub: SubspaceEstimate,
+    k_components: int,
     ranks: Optional[Sequence[int]],
     seed,
-    k_components: Optional[int] = None,
 ) -> InitializationResult:
     """Compress, solve the mixed regression, and lift every component.
 
-    When `ranks` is None, `k_components` components are extracted and each
-    rank is estimated from its compressed solution by
-    :func:`estimate_component_ranks`. Components come back in the
-    extraction order of the tensor method; alignment to any ground truth is
-    the caller's concern.
+    When `ranks` is None, each rank is estimated by
+    :func:`spectral.estimate_rank` from the singular values of the
+    component's compressed R x R solution, scanning up to R. Components
+    come back in the extraction order of the tensor method; alignment to
+    any ground truth is the caller's concern.
 
     The residuals need no design read: a lifted product lies in the
     subspaces, so ``<A_i, l r^T> = <a_i, vec((u^T l)(v^T r)^T)>`` up to
     rounding, and each component's row depends only on its own factors.
     """
-    if ranks is not None:
-        if k_components not in (None, len(ranks)):
-            raise InvalidInputError(f"{len(ranks)} ranks given for k_components={k_components}")
-        k_components = len(ranks)
-    elif k_components is None:
-        raise InvalidInputError("need ranks or k_components")
+    if ranks is not None and len(ranks) != k_components:
+        raise InvalidInputError(f"{len(ranks)} ranks given for k_components={k_components}")
     samples = compress_samples(dataset, sub)
     mlr = solve_mlr(samples, K=k_components, seed=seed)
     if ranks is None:
-        s_hats = [core.unvec(b, sub.r_joint) for b in mlr.betas]
-        ranks = estimate_component_ranks(s_hats)
-        if any(r == 0 for r in ranks):
-            raise InvalidInputError(f"degenerate component spectrum, ranks {ranks}")
+        R = sub.r_joint
+        ranks = [
+            spectral.estimate_rank(np.linalg.svd(core.unvec(b, R), compute_uv=False), max_rank=R)
+            for b in mlr.betas
+        ]
     factors = [
         lift_and_factor(mlr.betas[k], sub, int(ranks[k])) for k in range(k_components)
     ]

@@ -241,8 +241,6 @@ def solve_mlr(samples: VecSamples, K: int, seed) -> MlrEstimate:
     """Full mixed-linear-regression solve on one batch of samples, with
     10 + 2K power restarts of 100 iterations per extraction. The samples
     are checked once, by :func:`moments`."""
-    if K < 1:
-        raise InvalidInputError("K must be >= 1")
     split_seed, power_seed = np.random.SeedSequence(entropy=seed).generate_state(2, np.uint64)
     mom = moments(samples, split_mask(np.size(samples.y), int(split_seed)), K)
     pairs = robust_tensor_power(mom.t3, K, restarts=10 + 2 * K, iters=100, seed=int(power_seed))

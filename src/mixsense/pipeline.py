@@ -2,7 +2,6 @@
 initialization, then truncated-gradient refinement of all components."""
 
 import contextlib
-import json
 from dataclasses import asdict, dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -51,8 +50,8 @@ class PipelineConfig:
             if self.supplied_r_joint is not None and r > self.supplied_r_joint:
                 raise InvalidInputError(f"supplied_ranks entry {r} exceeds supplied_r_joint")
         for p in self.supplied_proportions or ():
-            if core.check_finite(p, "supplied_proportions entry") == 0.0:
-                raise InvalidInputError("supplied_proportions must be positive")
+            if not 0.0 < core.check_finite(p, "supplied_proportions entry") <= 1.0:
+                raise InvalidInputError(f"supplied_proportions entries must lie in (0, 1], got {p}")
 
 
 def default_params(proportions: Sequence[float], cfg: PipelineConfig) -> List[TgdConfig]:
@@ -141,9 +140,6 @@ class RecoveryReport:
             "weights": self.weights.tolist(),
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, **kwargs)
-
 
 def joint_basis(bases: Sequence[np.ndarray]) -> np.ndarray:
     """Orthonormal basis of the union of the given column spaces."""
@@ -191,8 +187,7 @@ def run_pipeline(
 
     with _stage("stage2"):
         init = initialize_all(
-            d_main if d_mlr is None else d_mlr, sub, cfg.supplied_ranks, cfg.seed,
-            k_components=K,
+            d_main if d_mlr is None else d_mlr, sub, K, cfg.supplied_ranks, cfg.seed
         )
 
     truth_mats = truth.matrices() if truth is not None else None

@@ -54,8 +54,6 @@ def subspace_estimate(y: np.ndarray, r_joint: Optional[int] = None) -> SubspaceE
     res = core.svd(y)
     if r_joint is None:
         r_joint = estimate_rank(res.s, max(1, min(y.shape) // 2))
-        if r_joint == 0:
-            raise InvalidInputError("data matrix spectrum is degenerate")
     if not 1 <= r_joint <= min(y.shape):
         raise InvalidInputError(f"r_joint={r_joint} out of range for shape {y.shape}")
     return SubspaceEstimate(
@@ -71,8 +69,7 @@ def estimate_rank(singular_values: Sequence[float], max_rank: int) -> int:
 
     Scans ``s_i / max(s_{i+1}, GAP_FLOOR * s_1)`` for i up to `max_rank`
     (:func:`gap_ratio`; missing trailing values count as 0) and returns the
-    smallest argmax.
-    Returns 0 when the spectrum is entirely degenerate.
+    smallest argmax. An all-zero spectrum has no rank and raises.
     """
     s = np.asarray(singular_values, dtype=np.float64).ravel()
     if s.size == 0:
@@ -82,7 +79,7 @@ def estimate_rank(singular_values: Sequence[float], max_rank: int) -> int:
     if not 1 <= max_rank <= s.size:
         raise InvalidInputError(f"max_rank={max_rank} out of range for {s.size} values")
     if s[0] <= 0.0:
-        return 0
+        raise InvalidInputError("spectrum is degenerate (all zero)")
     return 1 + int(np.argmax([gap_ratio(s, i) for i in range(1, max_rank + 1)]))
 
 

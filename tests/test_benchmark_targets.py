@@ -1,7 +1,9 @@
 """The library names that the benchmark harness wraps or captures still
 resolve, so that a refactor cannot silently zero a per-layer metric or
-empty the capture a workload check reads."""
+empty the capture a workload check reads, and the harness's own workload
+calls still run against the library."""
 
+import dataclasses
 import importlib
 import importlib.util
 import re
@@ -20,15 +22,15 @@ DEAD = {
 }
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def _targets():
-    traced = [(module, path) for _, module, path, _ in _tracing().TARGETS]
+    traced = [(module, path) for _, module, path, _ in _load("tracing").TARGETS]
     captured = re.findall(r'capture_returns\("([\w.]+)", "([\w.]+)"\)',
                           (PERFBENCH / "run.py").read_text())
     assert ("mixsense.initialization", "lift_and_factor") in captured
@@ -41,3 +43,16 @@ def test_target_resolves(module, path):
     for part in path.split("."):
         owner = getattr(owner, part, None)
     assert callable(owner), f"{module}.{path} is gone from the library"
+
+
+def test_workload_calls_run():
+    # streamed_budget at 30% of its samples: setup, sample, solve and the
+    # stored-mode check as the harness calls them
+    workloads = _load("workloads")
+    wl = dataclasses.replace(workloads.WORKLOADS["streamed_budget"], N=6480)
+    gt, cfg = workloads.setup(wl, 0)
+    dataset = workloads.sample(wl, gt, 0)
+    assert 0 < dataset.stored_rows < dataset.N
+    report = workloads.solve(dataset, cfg)
+    assert workloads.check_dataset_budget(wl, dataset) is None
+    assert workloads.check_matches_stored(wl, gt, cfg, 0, dataset, report, []) is None

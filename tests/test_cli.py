@@ -153,12 +153,31 @@ class TestRunCommand:
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
-    def test_numerical_failure_exits_3_with_partial_output(self, tmp_path):
-        bad = tiny_config(pipeline={"t0": 10, "supplied_r_joint": 99})
-        path = write_config(tmp_path, bad)
+    @pytest.mark.parametrize("pipeline", [{"supplied_r_joint": 9}, {"supplied_ranks": [7]}])
+    def test_rank_above_the_matrix_size_exits_2_before_any_trial(
+        self, tmp_path, monkeypatch, capsys, pipeline
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "_run_trial", lambda *args, **kwargs: calls.append(args))
+        path = write_config(tmp_path, tiny_config(n1=6, n2=6, pipeline={"t0": 10, **pipeline}))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert calls == [] and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and "min(n1, n2) = 6" in err[0]
+
+    def test_numerical_failure_exits_3_with_partial_output(self, tmp_path, monkeypatch):
+        def singular(f):
+            raise PreconditionerSingularError("forced")
+
+        monkeypatch.setattr(scaledtgd, "_gram_solve_factor", singular)  # a stage-3 abort
+        path = write_config(tmp_path, tiny_config())
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 3
-        assert (out / "summary.csv").exists()  # header flushed before failure
+        # header flushed before failure
+        assert read_csv(out / "summary.csv") == [
+            ["seed", "component", "rel_error", "init_error", "R_used"]
+        ]
 
     def test_failure_keeps_finished_trials(self, tmp_path, monkeypatch):
         real_run_trial = cli._run_trial

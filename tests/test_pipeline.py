@@ -11,6 +11,10 @@ from mixsense.errors import (
 )
 
 
+def report_json(rep):
+    return json.dumps(rep.to_json_dict(), sort_keys=True)
+
+
 def brute_force_alignment(estimates, truths):
     best_perm, best_cost = None, np.inf
     for perm in itertools.permutations(range(len(truths))):
@@ -122,6 +126,7 @@ class TestPipelineConfig:
         *(("supplied_proportions", (v,)) for v in BAD_NUMBERS),
         ("supplied_ranks", 5), ("supplied_proportions", 0.5),
         ("supplied_ranks", (2,)),  # above the joint rank of 1
+        ("supplied_proportions", (2.0,)),  # above 1
     ])
     def test_bad_values(self, field, value):
         # a joint rank of 1 is valid on its own; each row's field is what fails
@@ -149,7 +154,7 @@ class TestRunPipeline:
         cfg = pl.PipelineConfig(k_components=1, supplied_ranks=(2,), t0=40, seed=1)
         rep1 = pl.run_pipeline(ds, None, cfg, truth=gt)
         rep2 = pl.run_pipeline(ds, None, cfg, truth=gt)
-        assert rep1.to_json() == rep2.to_json()
+        assert report_json(rep1) == report_json(rep2)
         for a, b in zip(rep1.estimates, rep2.estimates):
             assert (a == b).all()
 
@@ -184,7 +189,7 @@ class TestRunPipeline:
             assert ds.stored_rows == stored_rows
             reports.append(pl.run_pipeline(ds, None, cfg, truth=gt))
         for rep in reports[1:]:
-            assert rep.to_json() == reports[0].to_json()
+            assert report_json(rep) == report_json(reports[0])
             assert (rep.estimates[0] == reports[0].estimates[0]).all()
 
     @staticmethod
@@ -293,7 +298,7 @@ class TestRunPipeline:
         gt, ds = desk_problem(seed=6)
         cfg = pl.PipelineConfig(k_components=1, supplied_ranks=(2,), t0=15, seed=6)
         rep = pl.run_pipeline(ds, None, cfg, truth=gt)
-        parsed = json.loads(rep.to_json())
+        parsed = json.loads(report_json(rep))
         assert parsed["stage1"]["r_used"] == 2
         spectrum = parsed["stage1"]["spectrum"]
         assert len(spectrum) == 3 and spectrum == sorted(spectrum, reverse=True)

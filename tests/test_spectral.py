@@ -120,8 +120,11 @@ class TestEstimateRank:
         ratios = [spectral.gap_ratio(s, i) for i in range(1, 5)]
         assert spectral.estimate_rank(s, max_rank=4) == 1 + ratios.index(max(ratios))
 
-    def test_degenerate_spectrum_flag(self):
-        assert spectral.estimate_rank([0.0, 0.0], max_rank=2) == 0
+    def test_degenerate_spectrum_raises(self):
+        with pytest.raises(InvalidInputError):
+            spectral.estimate_rank([0.0, 0.0], max_rank=2)
+        with pytest.raises(InvalidInputError):
+            spectral.subspace_estimate(np.zeros((4, 4)))
 
     def test_tie_breaks_to_smallest(self):
         # equal ratios everywhere: argmax must be the first index
