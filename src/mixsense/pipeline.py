@@ -3,6 +3,7 @@ initialization, then truncated-gradient refinement of all components."""
 
 import contextlib
 from dataclasses import asdict, dataclass
+from statistics import NormalDist
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -16,8 +17,16 @@ from .synth import Dataset, GroundTruth
 
 # Stage-3 step policy: component k gets step size ``ETA_SCALE / p_k`` and
 # truncating fraction ``ALPHA_SCALE * p_k``, where p_k is its proportion.
-ETA_SCALE = 1.3
+# In the population limit component k's truncated gradient is
+# ``p_k w(x) Δ``: x is the level with ``P(|z| <= x) = ALPHA_SCALE``, and
+# ``w(x) = erf(x/√2) - 2xφ(x) = ALPHA_SCALE - 2xφ(x)`` is the truncated
+# Gaussian second moment (0.3502). The effective step ``e = ETA_SCALE w``
+# contracts the error inside both factor spans by |1 - 2e| and across them
+# by |1 - e|; the worse of the two is smallest at e = 2/3, so ETA_SCALE is
+# 1.9038. The paper's fixed 1.3 gives e ≈ 0.46.
 ALPHA_SCALE = 0.8
+_X_TRUNC = NormalDist().inv_cdf((1.0 + ALPHA_SCALE) / 2.0)
+ETA_SCALE = (2.0 / 3.0) / (ALPHA_SCALE - 2.0 * _X_TRUNC * NormalDist().pdf(_X_TRUNC))
 
 
 @dataclass(frozen=True)
@@ -167,10 +176,12 @@ def run_pipeline(
 ) -> RecoveryReport:
     """Run all three stages and assemble an evaluation report.
 
-    Stage 1 (:func:`spectral.subspace_estimate`) estimates the joint rank
-    unless `cfg.supplied_r_joint` is set. Stage 2 (:func:`initialize_all`)
-    runs on `d_mlr` when it is given and on `d_main` otherwise, and
-    estimates each component's rank unless `cfg.supplied_ranks` is set.
+    Stage 1 (:func:`spectral.subspace_estimate`) estimates the joint rank R
+    unless `cfg.supplied_r_joint` is set, and fails when R cannot hold K
+    components (K > R^2) or a supplied rank exceeds it. Stage 2
+    (:func:`initialize_all`) runs on `d_mlr` when it is given and on
+    `d_main` otherwise, and estimates each component's rank unless
+    `cfg.supplied_ranks` is set.
     Stage 3 refines all components together on `d_main`, with the
     step policy of :func:`default_params` applied to
     `cfg.supplied_proportions`, or to the stage-2 mixture weights when none
@@ -184,6 +195,14 @@ def run_pipeline(
     K = cfg.k_components
     with _stage("stage1"):
         sub = spectral.subspace_estimate(spectral.data_matrix(d_main), cfg.supplied_r_joint)
+        R = sub.r_joint
+        above = [r for r in cfg.supplied_ranks or () if r > R]
+        if K > R * R or above:
+            # stage 2 regresses in R^2 dimensions and lifts each component to rank <= R
+            raise InvalidInputError(
+                f"joint rank R={R} too small: stage 2 needs K={K} <= R^2 and every "
+                f"supplied rank <= R, got {above or 'none'} above R"
+            )
 
     with _stage("stage2"):
         init = initialize_all(

@@ -1,10 +1,11 @@
 import itertools
 import json
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from helpers import BAD_INTS, BAD_NUMBERS
+from helpers import BAD_INTS, BAD_NUMBERS, truncated_gaussian_second_moment
 from mixsense import core, initialization as ini, pipeline as pl, scaledtgd, synth
 from mixsense.errors import (
     InvalidInputError, MixsenseError, PipelineStageError, PreconditionerSingularError,
@@ -67,18 +68,23 @@ class TestAlignComponents:
 
 
 class TestDefaultParams:
+    def test_step_scale_from_truncation_fraction(self):
+        # an effective step of 2/3 along the truncated gradient p w(x) Δ
+        x = NormalDist().inv_cdf((1 + pl.ALPHA_SCALE) / 2)
+        assert abs(pl.ETA_SCALE - (2 / 3) / truncated_gaussian_second_moment(x)) <= 1e-12
+
     def test_equal_thirds(self):
         cfg = pl.PipelineConfig(k_components=3, t0=7, early_stop_tol=1e-13)
         params = pl.default_params([1 / 3] * 3, cfg)
         for p in params:
-            assert abs(p.eta - 3.9) < 1e-12
+            assert abs(p.eta - 3 * pl.ETA_SCALE) < 1e-12
             assert abs(p.alpha - 0.8 / 3) < 1e-12
             assert p.t0 == 7 and p.early_stop_tol == 1e-13
 
     def test_halves(self):
         cfg = pl.PipelineConfig(k_components=2)
         params = pl.default_params([0.5, 0.5], cfg)
-        assert params[0].eta == 2.6 and params[1].eta == 2.6
+        assert params[0].eta == 2 * pl.ETA_SCALE and params[1].eta == 2 * pl.ETA_SCALE
 
     def test_alpha_capped_at_one(self):
         cfg = pl.PipelineConfig(k_components=1)
@@ -266,11 +272,30 @@ class TestRunPipeline:
 
     def test_stage_tagging(self):
         gt, ds = desk_problem(seed=5)
-        cfg = pl.PipelineConfig(k_components=1, supplied_r_joint=99, supplied_ranks=(2,),
-                                t0=10, seed=5)
+        # a joint rank beyond the data matrix, then a supplied rank above the
+        # estimated joint rank of 2
+        for cfg in (
+            pl.PipelineConfig(k_components=1, supplied_r_joint=99, supplied_ranks=(2,),
+                              t0=10, seed=5),
+            pl.PipelineConfig(k_components=1, supplied_ranks=(3,), t0=2, seed=5),
+        ):
+            with pytest.raises(PipelineStageError) as exc_info:
+                pl.run_pipeline(ds, None, cfg, truth=gt)
+            assert exc_info.value.stage == "stage1"
+        assert "R=2" in str(exc_info.value) and "[3] above R" in str(exc_info.value)
+
+    def test_joint_rank_too_small_fails_in_stage1(self):
+        # N = 2160 leaves stage 1 at R = 1 for K = 3 rank-2 components,
+        # which stage 2's whitening would reject with neither R nor the ranks
+        gt = synth.make_ground_truth(40, 40, [2] * 3, [1 / 3] * 3, [[1.0] * 2] * 3, 0)
+        ds = synth.sample_dataset(gt, 2160, 0.0, 0)
+        cfg = pl.PipelineConfig(k_components=3, supplied_ranks=(2,) * 3,
+                                supplied_proportions=(1 / 3,) * 3, t0=2, seed=0)
         with pytest.raises(PipelineStageError) as exc_info:
-            pl.run_pipeline(ds, None, cfg, truth=gt)
+            pl.run_pipeline(ds, None, cfg)
         assert exc_info.value.stage == "stage1"
+        assert "R=1" in str(exc_info.value) and "K=3" in str(exc_info.value)
+        assert "[2, 2, 2] above R" in str(exc_info.value)
 
     def test_stage3_abort_keeps_partial_trace(self, monkeypatch):
         gt, ds = desk_problem(seed=5)
