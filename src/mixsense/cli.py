@@ -3,14 +3,15 @@ JSON configs, with CSV outputs.
 
 Usage::
 
-    mixsense run         --config cfg.json --out outdir
-    mixsense sweep-noise --config cfg.json --out outdir
+    mixsense run --config cfg.json --out outdir
 
-`run` writes summary.csv, report.json and the convergence trace of its
-first trial, trace.csv. Exit codes: 0 success, 2 config error or an output
-directory that cannot be made, 3 numerical failure (partial output,
-including every trial finished before the failure, is flushed before
-exiting).
+`run` runs `trials` trials at each noise level of `sigma`, a number or a
+non-empty list. It writes summary.csv, report.json, the convergence trace
+of the first trial (level 0, trial 0) as trace.csv, and the mean worst
+error of each finished level as sweep.csv. Exit codes: 0 success, 2
+config error or an output directory that cannot be made, 3 numerical
+failure (partial output, including every trial finished before the
+failure, is flushed before exiting).
 """
 
 import argparse
@@ -18,7 +19,7 @@ import csv
 import json
 import re
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import List, Optional, Union
 
@@ -31,8 +32,8 @@ from .synth import make_ground_truth, sample_dataset
 
 # Trial t of an experiment uses master seed `seed + TRIAL_STRIDE * t`.
 TRIAL_STRIDE = 1000
-# In noise sweeps, the dataset seed also moves with the noise-level index so
-# the points are independent draws.
+# The seed also moves with the noise-level index, so the levels are
+# independent draws.
 SIGMA_STRIDE = 7919
 
 _N_TOKEN = re.compile(r"^(\d+)nrK$")
@@ -42,8 +43,7 @@ _N_TOKEN = re.compile(r"^(\d+)nrK$")
 class ExperimentConfig:
     n1: int
     n2: int
-    K: int
-    ranks: List[int]
+    ranks: List[int]                             # one per component: K = len(ranks)
     proportions: Optional[List[float]] = None   # default: equal
     spectra: Optional[List[List[float]]] = None  # default: all-ones per rank
     sigma: Union[float, List[float]] = 0.0
@@ -57,12 +57,12 @@ class ExperimentConfig:
             m = _N_TOKEN.match(self.N)
             if not m:
                 raise ConfigError(f"unrecognized sample-size token {self.N!r}")
-            return int(m.group(1)) * max(self.n1, self.n2) * max(self.ranks) * self.K
+            return int(m.group(1)) * max(self.n1, self.n2) * max(self.ranks) * len(self.ranks)
         return self.N
 
     def resolved_proportions(self) -> List[float]:
         if self.proportions is None:
-            return [1.0 / self.K] * self.K
+            return [1.0 / len(self.ranks)] * len(self.ranks)
         return list(self.proportions)
 
     def resolved_spectra(self) -> List[List[float]]:
@@ -70,38 +70,39 @@ class ExperimentConfig:
             return [[1.0] * r for r in self.ranks]
         return [list(s) for s in self.spectra]
 
+    def resolved_sigmas(self) -> List[float]:
+        return self.sigma if isinstance(self.sigma, list) else [self.sigma]
+
     def to_json_dict(self) -> dict:
         return asdict(self)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Check a config before any trial runs. The library checks the planted
-    mixture, K, the seed and the pipeline section, as trial 0's ground truth
+    mixture, the seed and the pipeline section, as trial 0's ground truth
     and `PipelineConfig` are built; the rest, and the supplied ranks against
-    the matrix size, is checked here."""
+    the matrix size, is checked here. K is the number of ranks."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    keys = fields(ExperimentConfig)
-    unknown = set(raw) - {f.name for f in keys}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    required = [f.name for f in keys if f.default is MISSING and f.default_factory is MISSING]
-    missing = [k for k in required if k not in raw]
-    if missing:
-        raise ConfigError(f"missing config keys: {missing}")
-    cfg = ExperimentConfig(**raw)
-    if not isinstance(cfg.ranks, list) or not cfg.ranks or len(cfg.ranks) != cfg.K:
-        raise ConfigError(f"need one rank per component, got K={cfg.K!r}, ranks={cfg.ranks!r}")
+    try:
+        cfg = ExperimentConfig(**raw)
+    except TypeError as exc:  # an unknown or a missing key
+        raise ConfigError(f"config keys: {exc}") from exc
+    if not isinstance(cfg.ranks, list) or not cfg.ranks:
+        raise ConfigError(f"need a non-empty list of ranks, got {cfg.ranks!r}")
     if not isinstance(cfg.pipeline, dict):
         raise ConfigError("pipeline section must be an object")
+    sigmas = cfg.resolved_sigmas()
+    if not sigmas:
+        raise ConfigError("sigma must be a number or a non-empty list")
     try:
         core.check_int(cfg.trials, "trials", 1)
-        for sigma in cfg.sigma if isinstance(cfg.sigma, list) else [cfg.sigma]:
+        for sigma in sigmas:
             core.check_finite(sigma, "sigma")
         make_ground_truth(cfg.n1, cfg.n2, cfg.ranks, cfg.resolved_proportions(),
                           cfg.resolved_spectra(), cfg.seed)
         pipe = _pipeline_config(cfg, seed=cfg.seed)
-        core.check_int(cfg.resolved_n(), "N", cfg.K)
+        core.check_int(cfg.resolved_n(), "N", len(cfg.ranks))
     except (TypeError, InvalidInputError) as exc:
         # a TypeError is an unknown pipeline key or a value of the wrong shape
         raise ConfigError(str(exc)) from exc
@@ -124,7 +125,7 @@ def _pipeline_config(cfg: ExperimentConfig, seed: int) -> PipelineConfig:
     section = dict(cfg.pipeline)
     section.setdefault("supplied_ranks", cfg.ranks)
     section.setdefault("supplied_proportions", cfg.resolved_proportions())
-    return PipelineConfig(k_components=cfg.K, seed=seed, **section)
+    return PipelineConfig(k_components=len(cfg.ranks), seed=seed, **section)
 
 
 def _trial_seed(cfg: ExperimentConfig, trial: int, sigma_idx: int) -> int:
@@ -168,23 +169,13 @@ def _write_csv(path: Path, header: List[str], rows: List[list]):
         writer.writerows(rows)
 
 
-def _sigmas(command: str, cfg: ExperimentConfig) -> List[float]:
-    """The noise levels `command` runs at: one scalar for run, a non-empty
-    list (or a scalar) for sweep-noise."""
-    if command == "run" and isinstance(cfg.sigma, list):
-        raise ConfigError("run needs a scalar sigma (lists are for sweep-noise)")
-    sigmas = cfg.sigma if isinstance(cfg.sigma, list) else [cfg.sigma]
-    if not sigmas:
-        raise ConfigError("sweep-noise needs a non-empty sigma list")
-    return sigmas
-
-
-def cmd_run(cfg: ExperimentConfig, sigmas: List[float], out: Path) -> Optional[dict]:
+def cmd_run(cfg: ExperimentConfig, out: Path) -> Optional[dict]:
+    sigmas = cfg.resolved_sigmas()
     done, failed = _run_trials(cfg, sigmas)
     _write_csv(out / "summary.csv", ["seed", "component", "rel_error", "init_error", "R_used"],
                [[seed, k, comp.rel_error, comp.init_error, report.stage1.r_used]
                 for _, seed, report in done for k, comp in enumerate(report.per_component)])
-    # the convergence trace of trial 0, one block per component
+    # the convergence trace of trial 0 at level 0, one block per component
     first = done[0][2].per_component if done else []
     _write_csv(out / "trace.csv", ["iter", "component", "rel_error", "tau", "kept"],
                [[t, k, err, tau, kept]
@@ -195,11 +186,7 @@ def cmd_run(cfg: ExperimentConfig, sigmas: List[float], out: Path) -> Optional[d
                               for _, seed, report in done],
                    "failed_trial": failed},
                   fh, sort_keys=True, indent=1)
-    return failed
-
-
-def cmd_sweep_noise(cfg: ExperimentConfig, sigmas: List[float], out: Path) -> Optional[dict]:
-    done, failed = _run_trials(cfg, sigmas)
+    # one row per level whose trials all finished
     worst: List[List[float]] = [[] for _ in sigmas]
     for s_idx, _, report in done:
         worst[s_idx].append(max(c.rel_error for c in report.per_component))
@@ -209,28 +196,23 @@ def cmd_sweep_noise(cfg: ExperimentConfig, sigmas: List[float], out: Path) -> Op
     return failed
 
 
-COMMANDS = {"run": cmd_run, "sweep-noise": cmd_sweep_noise}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="mixsense",
                                      description="mixed low-rank matrix sensing experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", required=True)
+    run = sub.add_parser("run")
+    run.add_argument("--config", required=True)
+    run.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        sigmas = _sigmas(args.command, cfg)  # before any output is made
+        cfg = load_config(args.config)  # before any output is made
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             print(f"error: cannot make output directory {out}: {exc}", file=sys.stderr)
             return 2
-        failed = COMMANDS[args.command](cfg, sigmas, out)
+        failed = cmd_run(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

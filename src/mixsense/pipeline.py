@@ -190,9 +190,15 @@ def run_pipeline(
     first, and `cfg.t0` otherwise: the final iterate takes no step.
     `truth` is read only for evaluation: trace targets, initialization
     errors, the component alignment and the subspace distances; it never
-    feeds back into the solver.
+    feeds back into the solver. A `truth` whose shape or K does not match
+    the data and `cfg` is rejected before stage 1.
     """
     K = cfg.k_components
+    if truth is not None and (truth.n1, truth.n2, truth.K) != (d_main.n1, d_main.n2, K):
+        raise InvalidInputError(
+            f"truth of shape {(truth.n1, truth.n2)} with K={truth.K} does not match "
+            f"data of shape {(d_main.n1, d_main.n2)} with K={K}"
+        )
     with _stage("stage1"):
         sub = spectral.subspace_estimate(spectral.data_matrix(d_main), cfg.supplied_r_joint)
         R = sub.r_joint

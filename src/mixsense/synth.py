@@ -154,10 +154,8 @@ def _largest_remainder_counts(proportions: Sequence[float], N: int) -> np.ndarra
 
 @dataclass
 class Dataset:
-    """N mixed linear measurements of a planted mixture.
-
-    `hidden_labels` records which component generated each sample; it exists
-    for evaluation only and is never read by the solver stages.
+    """N mixed linear measurements of a planted mixture. It holds no labels:
+    which component generated a sample decides its `y` and is not kept.
     `designs_flat` holds the design rows of samples ``[0, stored_rows)``;
     rows from `stored_rows` on are regenerated on demand from `seed`, so 0
     stored rows is a fully streamed dataset and N a fully stored one.
@@ -168,17 +166,13 @@ class Dataset:
     sigma: float
     seed: int
     y: np.ndarray
-    hidden_labels: np.ndarray
     designs_flat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.float64)
-        self.hidden_labels = np.asarray(self.hidden_labels, dtype=np.int64)
         self.designs_flat = np.asarray(self.designs_flat, dtype=np.float64)
         if self.y.ndim != 1 or not np.isfinite(self.y).all():
             raise InvalidInputError("y must be a finite 1-D array")
-        if self.hidden_labels.shape != self.y.shape:
-            raise InvalidInputError("need one hidden label per measurement")
         nn = core.check_int(self.n1, "n1", 1) * core.check_int(self.n2, "n2", 1)
         core.check_finite(self.sigma, "sigma")
         core.check_int(self.seed, "seed")
@@ -187,7 +181,7 @@ class Dataset:
             raise InvalidInputError(
                 f"designs_flat has shape {shape}, expected (<= {self.y.size}, {nn})"
             )
-        for arr in (self.y, self.hidden_labels, self.designs_flat):
+        for arr in (self.y, self.designs_flat):
             arr.setflags(write=False)
 
     @property
@@ -371,5 +365,5 @@ def sample_dataset(
             designs[lo:hi] = block[: max(len(designs) - lo, 0)]
     return Dataset(
         n1=gt.n1, n2=gt.n2, sigma=float(sigma), seed=int(seed),
-        y=y, hidden_labels=labels, designs_flat=designs,
+        y=y, designs_flat=designs,
     )

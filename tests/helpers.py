@@ -26,7 +26,6 @@ def manual_dataset(designs, y):
     return synth.Dataset(
         n1=n1, n2=n2, sigma=0.0, seed=0,
         y=np.asarray(y, dtype=float),
-        hidden_labels=np.zeros(n, dtype=np.int64),
         designs_flat=designs.reshape(n, n1 * n2).copy(),
     )
 

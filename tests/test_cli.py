@@ -1,7 +1,11 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import BAD_INTS, BAD_NUMBERS
@@ -13,7 +17,6 @@ def tiny_config(**overrides):
     cfg = {
         "n1": 10,
         "n2": 10,
-        "K": 1,
         "ranks": [1],
         "sigma": 0.0,
         "N": 800,
@@ -51,7 +54,7 @@ class TestConfigParsing:
             cli.parse_config(tiny_config(N="90xyz")).resolved_n()
 
     def test_defaults(self):
-        cfg = cli.parse_config(tiny_config(K=2, ranks=[1, 2]))
+        cfg = cli.parse_config(tiny_config(ranks=[1, 2]))
         assert cfg.resolved_proportions() == [0.5, 0.5]
         assert cfg.resolved_spectra() == [[1.0], [1.0, 1.0]]
         pipe = cli._pipeline_config(cfg, seed=0)
@@ -59,7 +62,7 @@ class TestConfigParsing:
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
-            cli.parse_config(tiny_config(K=2))  # ranks length mismatch
+            cli.parse_config(tiny_config(K=2))  # unknown key: K is the number of ranks
         with pytest.raises(ConfigError):
             cli.parse_config(tiny_config(trials=0))
         with pytest.raises(ConfigError):
@@ -79,16 +82,16 @@ class TestConfigParsing:
             # a planted mixture that cannot be built
             {"n1": 4, "n2": 4, "ranks": [5]}, {"proportions": [0.7]},
             {"spectra": [[-1.0]]}, {"spectra": [[1.0, 0.5]]},
-            {"ranks": 5}, {"K": 0, "ranks": []}, {"n1": "10"},
+            {"ranks": 5}, {"ranks": []}, {"n1": "10"},
             # JSON booleans where numbers belong, and a fractional sample count
             {"trials": True}, {"sigma": True}, {"sigma": [0.0, True]}, {"seed": True},
-            {"K": True}, {"N": True}, {"N": 800.7},
+            {"N": True}, {"N": 800.7},
             # booleans that only the library sees: ranks, spectra and the pipeline section
-            {"K": 2, "ranks": [True, True]}, {"K": 2, "ranks": [1, 1], "spectra": [[True], [1.0]]},
+            {"ranks": [True, True]}, {"ranks": [1, 1], "spectra": [[True], [1.0]]},
             {"pipeline": {"t0": True}}, {"pipeline": {"supplied_r_joint": True}},
-            {"K": 2, "ranks": [1, 1], "pipeline": {"supplied_ranks": [True, True]}},
+            {"ranks": [1, 1], "pipeline": {"supplied_ranks": [True, True]}},
             {"pipeline": {"early_stop_tol": True}},
-            *({name: v} for name in ("K", "seed", "trials", "N") for v in BAD_INTS),
+            *({name: v} for name in ("seed", "trials", "N") for v in BAD_INTS),
             *({"sigma": v} for v in BAD_NUMBERS), *({"sigma": [0.0, v]} for v in BAD_NUMBERS),
         ]
         for overrides in bad:
@@ -113,7 +116,7 @@ class TestRunCommand:
         assert all(float(r[2]) <= 1e-6 for r in rows[1:])
         report = json.loads((out / "report.json").read_text())
         assert len(report["trials"]) == 2
-        assert report["config"]["K"] == 1
+        assert report["config"]["ranks"] == [1]
 
     def test_malformed_config_exits_2_without_outputs(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -136,7 +139,7 @@ class TestRunCommand:
     def test_rank_above_joint_rank_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(cli, "_run_trial", lambda *args, **kwargs: calls.append(args))
-        bad = tiny_config(K=2, ranks=[3, 1], pipeline={"t0": 10, "supplied_r_joint": 2})
+        bad = tiny_config(ranks=[3, 1], pipeline={"t0": 10, "supplied_r_joint": 2})
         path = write_config(tmp_path, bad)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
@@ -235,11 +238,20 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
 
-    def test_sigma_list_rejected_for_run(self, tmp_path):
-        path = write_config(tmp_path, tiny_config(sigma=[0.0, 0.1]))
+    def test_runs_as_a_process(self, tmp_path):
+        # the path the console script and the README take: a fresh interpreter
+        path = write_config(tmp_path, tiny_config(trials=1))
         out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
-        assert not out.exists()  # checked before the output directory is made
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixsense.cli", "run", "--config", str(path), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in out.iterdir()) == [
+            "report.json", "summary.csv", "sweep.csv", "trace.csv"
+        ]
 
 
 class TestTraceOutput:
@@ -270,7 +282,7 @@ class TestTraceOutput:
             return real_run_pipeline(*args, **kwargs)
 
         monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
-        path = write_config(tmp_path, tiny_config(K=2, ranks=[1, 1], sigma=1e-5, N=1800))
+        path = write_config(tmp_path, tiny_config(ranks=[1, 1], sigma=1e-5, N=1800))
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
         assert len(calls) == 2  # one solve per trial
@@ -294,7 +306,7 @@ class TestSweepCommand:
     def test_noiseless_sweep(self, tmp_path):
         path = write_config(tmp_path, tiny_config(sigma=[0.0], trials=2))
         out = tmp_path / "out"
-        assert cli.main(["sweep-noise", "--config", str(path), "--out", str(out)]) == 0
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
         rows = read_csv(out / "sweep.csv")
         assert rows[0] == ["sigma", "mean_max_rel_error", "trials"]
         assert len(rows) == 2
@@ -306,7 +318,7 @@ class TestSweepCommand:
             tmp_path, tiny_config(sigma=[1e-4, 1e-2], trials=1, N=2000)
         )
         out = tmp_path / "out"
-        assert cli.main(["sweep-noise", "--config", str(path), "--out", str(out)]) == 0
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
         rows = read_csv(out / "sweep.csv")
         assert [r[0] for r in rows[1:]] == ["0.0001", "0.01"]
         assert float(rows[1][1]) < float(rows[2][1])
@@ -322,14 +334,38 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "_run_trial", fail_at_level_1)
         path = write_config(tmp_path, tiny_config(sigma=[0.0, 1e-3], trials=2))
         out = tmp_path / "out"
-        assert cli.main(["sweep-noise", "--config", str(path), "--out", str(out)]) == 3
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 3
         rows = read_csv(out / "sweep.csv")
         # level 1 finished only one of its trials, so it has no row
         assert len(rows) == 1 + 1 and rows[1][0] == "0.0" and rows[1][2] == "2"
         assert float(rows[1][1]) <= 1e-6
 
+    def test_list_fills_every_output(self, tmp_path):
+        path = write_config(tmp_path, tiny_config(ranks=[1, 1], sigma=[0.0, 1e-3], N=1800))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        # one summary row per (level, trial, component); level s, trial t has
+        # seed 1000 t + 7919 s
+        seeds = [row[0] for row in read_csv(out / "summary.csv")[1:]]
+        assert seeds == ["0", "0", "1000", "1000", "7919", "7919", "8919", "8919"]
+        report = json.loads((out / "report.json").read_text())
+        assert [t["seed"] for t in report["trials"]] == [0, 1000, 7919, 8919]
+        first = report["trials"][0]["report"]["per_component"]
+        assert read_csv(out / "trace.csv")[1:] == [
+            [str(r["iter"]), str(k)] + ["" if r[key] is None else str(r[key])
+                                        for key in ("rel_error", "tau", "kept")]
+            for k, comp in enumerate(first) for r in comp["trace"]
+        ]
+        worst = [max(c["rel_error"] for c in t["report"]["per_component"])
+                 for t in report["trials"]]
+        assert read_csv(out / "sweep.csv") == [
+            ["sigma", "mean_max_rel_error", "trials"],
+            ["0.0", str(float(np.mean(worst[:2]))), "2"],
+            ["0.001", str(float(np.mean(worst[2:]))), "2"],
+        ]
+
     def test_empty_sigma_list(self, tmp_path):
         path = write_config(tmp_path, tiny_config(sigma=[]))
         out = tmp_path / "out"
-        assert cli.main(["sweep-noise", "--config", str(path), "--out", str(out)]) == 2
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()  # checked before the output directory is made

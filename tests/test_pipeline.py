@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import BAD_INTS, BAD_NUMBERS, truncated_gaussian_second_moment
-from mixsense import core, initialization as ini, pipeline as pl, scaledtgd, synth
+from mixsense import core, initialization as ini, pipeline as pl, scaledtgd, spectral, synth
 from mixsense.errors import (
     InvalidInputError, MixsenseError, PipelineStageError, PreconditionerSingularError,
 )
@@ -296,6 +296,25 @@ class TestRunPipeline:
         assert exc_info.value.stage == "stage1"
         assert "R=1" in str(exc_info.value) and "K=3" in str(exc_info.value)
         assert "[2, 2, 2] above R" in str(exc_info.value)
+
+    def test_mismatched_truth_fails_before_stage1(self, monkeypatch):
+        gt = synth.make_ground_truth(10, 10, [1] * 3, [1 / 3] * 3, [[1.0]] * 3, 0)
+        ds = synth.sample_dataset(gt, 2700, 0.0, 0)
+        cfg = pl.PipelineConfig(k_components=3, supplied_ranks=(1,) * 3, t0=40, seed=0)
+        calls = []
+        monkeypatch.setattr(spectral, "data_matrix", lambda *args: calls.append(args))
+        # too few components, then the right K at the wrong shape
+        for truth, named in (
+            (synth.make_ground_truth(10, 10, [1] * 2, [0.5] * 2, [[1.0]] * 2, 0),
+             "(10, 10) with K=2"),
+            (synth.make_ground_truth(8, 8, [1] * 3, [1 / 3] * 3, [[1.0]] * 3, 0),
+             "(8, 8) with K=3"),
+        ):
+            with pytest.raises(InvalidInputError) as exc_info:
+                pl.run_pipeline(ds, None, cfg, truth=truth)
+            assert named in str(exc_info.value)
+            assert "data of shape (10, 10) with K=3" in str(exc_info.value)
+        assert calls == []
 
     def test_stage3_abort_keeps_partial_trace(self, monkeypatch):
         gt, ds = desk_problem(seed=5)

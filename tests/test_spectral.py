@@ -46,8 +46,7 @@ class TestDataMatrix:
         import dataclasses
 
         empty = dataclasses.replace(
-            ds, y=np.zeros(0), hidden_labels=np.zeros(0, dtype=np.int64),
-            designs_flat=np.zeros((0, 4)),
+            ds, y=np.zeros(0), designs_flat=np.zeros((0, 4)),
         )
         with pytest.raises(InvalidInputError):
             spectral.data_matrix(empty)

@@ -15,6 +15,18 @@ def equal_mixture(n, K, r, seed=0):
     return synth.make_ground_truth(n, n, [r] * K, [1.0 / K] * K, [[1.0] * r] * K, seed)
 
 
+def recovered_labels(gt, ds):
+    """Each noiseless sample's component: the one k whose full-block product
+    equals y_i bit for bit."""
+    vec_ms = [gt.matrix(k).ravel() for k in range(gt.K)]
+    labels = []
+    for lo, hi, rows in ds.iter_design_blocks():
+        hits = np.array([rows @ v for v in vec_ms]) == ds.y[lo:hi]
+        assert (hits.sum(axis=0) == 1).all()
+        labels.append(hits.argmax(axis=0))
+    return np.concatenate(labels)
+
+
 class TestRandomOrthonormal:
     def test_square_orthogonal(self):
         q = synth.random_orthonormal(3, 3, seed=7)
@@ -85,7 +97,7 @@ class TestSampleDataset:
     def test_exact_divisibility_counts(self):
         gt = equal_mixture(4, K=3, r=1)
         ds = synth.sample_dataset(gt, N=9, sigma=0.0, seed=0)
-        assert sorted(np.bincount(ds.hidden_labels).tolist()) == [3, 3, 3]
+        assert sorted(np.bincount(recovered_labels(gt, ds)).tolist()) == [3, 3, 3]
 
     @given(
         st.integers(min_value=2, max_value=5),
@@ -113,14 +125,7 @@ class TestSampleDataset:
     def test_noiseless_consistency_bitexact(self):
         gt = equal_mixture(5, K=2, r=1, seed=4)
         ds = synth.sample_dataset(gt, N=500, sigma=0.0, seed=9)
-        vec_ms = [gt.matrix(k).ravel() for k in range(gt.K)]
-        for lo, hi, rows in ds.iter_design_blocks():
-            lab = ds.hidden_labels[lo:hi]
-            for k in range(gt.K):
-                mask = lab == k
-                if mask.any():
-                    vals = rows @ vec_ms[k]
-                    assert (ds.y[lo:hi][mask] == vals[mask]).all()
+        recovered_labels(gt, ds)  # asserts that exactly one component matches each y_i
 
     def test_streamed_stored_bit_equality(self):
         gt = equal_mixture(6, K=2, r=2, seed=11)
@@ -133,7 +138,6 @@ class TestSampleDataset:
         idx = np.array([0, 1, 17, 1024, 1499, 1500, 2099])
         for other in (streamed, hybrid):
             assert (stored.y == other.y).all()
-            assert (stored.hidden_labels == other.hidden_labels).all()
             assert (stacked_rows(stored, idx) == stacked_rows(other, idx)).all()
             blocks = [(lo, hi, rows.copy()) for lo, hi, rows in other.iter_design_blocks()]
             assert len(blocks) == 3
@@ -218,8 +222,7 @@ class TestSampleDataset:
     def test_dataset_array_checks(self):
         def make(y, designs_flat, seed=0):
             return synth.Dataset(
-                n1=2, n2=3, sigma=0.0, seed=seed, y=y,
-                hidden_labels=np.zeros(len(y), dtype=np.int64), designs_flat=designs_flat,
+                n1=2, n2=3, sigma=0.0, seed=seed, y=y, designs_flat=designs_flat,
             )
 
         make(np.zeros(4), np.zeros((4, 6)))
@@ -246,11 +249,10 @@ class TestSampleDataset:
         *((name, v) for name in ("n1", "n2", "seed") for v in BAD_INTS),
         ("n1", 2.0), ("n2", 3.0),
         *(("sigma", v) for v in BAD_NUMBERS),
-        ("hidden_labels", np.zeros(3, dtype=np.int64)),  # shorter than y
     ])
     def test_dataset_bad_values(self, field, value):
         args = {"n1": 2, "n2": 3, "sigma": 0.0, "seed": 0, "y": np.zeros(4),
-                "hidden_labels": np.zeros(4, dtype=np.int64), "designs_flat": np.zeros((4, 6))}
+                "designs_flat": np.zeros((4, 6))}
         with pytest.raises(InvalidInputError):
             synth.Dataset(**{**args, field: value})
 
