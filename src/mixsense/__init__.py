@@ -10,13 +10,10 @@ refinement with scaled truncated gradient descent.
 from .core import rel_fro_error, subspace_distance
 from .errors import (
     ConfigError,
-    DegenerateMomentError,
     InvalidInputError,
     MixsenseError,
+    NumericalError,
     PipelineStageError,
-    PreconditionerSingularError,
-    RankCollapseError,
-    RankDeficientInitError,
 )
 from .pipeline import PipelineConfig, RecoveryReport, run_pipeline
 from .spectral import data_matrix, subspace_estimate

@@ -4,8 +4,9 @@ Everything in this module is pure and operates on plain float64 numpy
 arrays; values are never mutated after construction, so all functions are
 safe to call concurrently.
 
-The project-wide vectorization convention is column-major: ``vec`` stacks
-matrix columns and ``unvec`` is its inverse.
+Designs and stage-3 products are flattened row-major (``ravel``). Only
+stage 2's R x R compressed coordinates use ``vec``, which stacks columns,
+and ``unvec``, its inverse.
 """
 
 import math

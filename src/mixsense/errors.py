@@ -9,25 +9,11 @@ class InvalidInputError(MixsenseError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class DegenerateMomentError(MixsenseError):
-    """Second-moment matrix is rank deficient below the requested number of
-    components (too few samples, or duplicate components)."""
-
-
-class RankCollapseError(MixsenseError):
-    """Tensor decomposition found no component with nonzero weight."""
-
-
-class RankDeficientInitError(MixsenseError):
-    """Initialization target matrix does not support the requested rank."""
-
-
-class PreconditionerSingularError(MixsenseError):
-    """A factor Gram matrix became numerically singular during refinement,
-    which signals the iterate has left the well-conditioned region.
-
-    When raised from an iteration loop, `trace` carries the per-iteration
-    records collected before the abort.
+class NumericalError(MixsenseError):
+    """A solver step met a degenerate quantity: a zero or rank-deficient
+    moment, a tensor with no component left, a lifted matrix below its rank,
+    or a singular factor Gram matrix. The message names which. A stage-3
+    abort sets `trace` to the records collected before it; otherwise None.
     """
 
     def __init__(self, message: str, trace=None):

@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import core, spectral
-from .errors import InvalidInputError, RankDeficientInitError
+from .errors import InvalidInputError, NumericalError
 from .mlr_tensor import MlrEstimate, VecSamples, solve_mlr
 from .spectral import SubspaceEstimate
 from .synth import Dataset
@@ -51,7 +51,7 @@ def compress_samples(dataset: Dataset, sub: SubspaceEstimate) -> VecSamples:
         small = sub.u.T @ (block @ sub.v)
         # row-major reshape of the transpose == column-major vec
         a[lo:hi] = small.transpose(0, 2, 1).reshape(hi - lo, R * R)
-    return VecSamples(a=a, y=dataset.y.copy())
+    return VecSamples(a=a, y=dataset.y)
 
 
 def lift_and_factor(beta_hat: np.ndarray, sub: SubspaceEstimate, r_k: int) -> FactorPair:
@@ -65,7 +65,7 @@ def lift_and_factor(beta_hat: np.ndarray, sub: SubspaceEstimate, r_k: int) -> Fa
     # are u/v times those of s_mat because the bases are orthonormal
     res = core.svd(s_mat)
     if res.s[0] <= 0.0 or res.s[r_k - 1] < 1e-14 * res.s[0]:
-        raise RankDeficientInitError(
+        raise NumericalError(
             f"lifted matrix supports rank < {r_k} (spectrum {res.s[:r_k]})"
         )
     root = np.sqrt(res.s[:r_k])

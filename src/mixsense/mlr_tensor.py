@@ -15,7 +15,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import core
-from .errors import DegenerateMomentError, InvalidInputError, RankCollapseError
+from .errors import InvalidInputError, NumericalError
 from .synth import BLOCK
 
 WEIGHT_FLAG_THRESHOLD = 1.5
@@ -156,10 +156,10 @@ def whiten(m2: np.ndarray, K: int) -> Whitening:
         raise InvalidInputError(f"need square m2 and 1 <= K <= d, got {m2.shape}, K={K}")
     res = core.svd(m2)
     if res.s[0] <= 0.0:
-        raise RankCollapseError("second moment is identically zero")
+        raise NumericalError("second moment is identically zero")
     ratio = float(res.s[K - 1] / res.s[0])
     if res.s[K - 1] <= 1e-10 * res.s[0]:
-        raise DegenerateMomentError(f"second moment rank below K={K}: spectrum ratio {ratio:.2e}")
+        raise NumericalError(f"second moment rank below K={K}: spectrum ratio {ratio:.2e}")
     return Whitening(w=res.u[:, :K] / np.sqrt(res.s[:K]), ratio=ratio)
 
 
@@ -207,7 +207,7 @@ def robust_tensor_power(
         lams, us = _power_round(t3.reshape(d, d * d), starts, iters)
         best = int(np.argmax(lams))
         if not lams[best] >= 1e-12:
-            raise RankCollapseError(
+            raise NumericalError(
                 f"power method found no component after {len(pairs)} extractions"
             )
         lam, u = float(lams[best]), us[best]

@@ -12,7 +12,7 @@ from typing import List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import core
-from .errors import InvalidInputError, PreconditionerSingularError
+from .errors import InvalidInputError, NumericalError
 from .initialization import FactorPair
 from .synth import SUB, Dataset
 
@@ -131,7 +131,7 @@ def _gram_solve_factor(f: np.ndarray) -> np.ndarray:
     """Inverse of f.T @ f via SVD with a conditioning guard."""
     u, s, vt = np.linalg.svd(f, full_matrices=False)
     if s[0] <= 0.0 or (s[-1] / s[0]) ** 2 <= 1e-12:
-        raise PreconditionerSingularError(
+        raise NumericalError(
             "factor Gram matrix numerically singular; iterate left the basin"
         )
     return (vt.T / s**2) @ vt
@@ -224,9 +224,10 @@ def refine_components(
             f, cfg = factors[k], cfgs[k]
             try:
                 factors[k] = _update(f, sums[j].reshape(dataset.n1, dataset.n2), cfg.eta / N)
-            except PreconditionerSingularError as exc:
+            except NumericalError as exc:
                 traces[k].stop_reason = "singular_preconditioner"
-                raise PreconditionerSingularError(str(exc), trace=traces[k]) from exc
+                exc.trace = traces[k]
+                raise
             prod = f.product()
             change = np.linalg.norm(factors[k].product() - prod) / max(np.linalg.norm(prod), 1e-300)
             early = cfg.early_stop_tol > 0.0 and change < cfg.early_stop_tol

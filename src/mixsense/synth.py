@@ -154,8 +154,8 @@ def _largest_remainder_counts(proportions: Sequence[float], N: int) -> np.ndarra
 
 @dataclass
 class Dataset:
-    """N mixed linear measurements of a planted mixture. It holds no labels:
-    which component generated a sample decides its `y` and is not kept.
+    """N mixed linear measurements of a planted mixture. It holds no labels
+    and no noise level: those decide each `y` and are not kept.
     `designs_flat` holds the design rows of samples ``[0, stored_rows)``;
     rows from `stored_rows` on are regenerated on demand from `seed`, so 0
     stored rows is a fully streamed dataset and N a fully stored one.
@@ -163,7 +163,6 @@ class Dataset:
 
     n1: int
     n2: int
-    sigma: float
     seed: int
     y: np.ndarray
     designs_flat: np.ndarray = field(repr=False)
@@ -174,7 +173,6 @@ class Dataset:
         if self.y.ndim != 1 or not np.isfinite(self.y).all():
             raise InvalidInputError("y must be a finite 1-D array")
         nn = core.check_int(self.n1, "n1", 1) * core.check_int(self.n2, "n2", 1)
-        core.check_finite(self.sigma, "sigma")
         core.check_int(self.seed, "seed")
         shape = self.designs_flat.shape
         if len(shape) != 2 or shape[0] > self.y.size or shape[1] != nn:
@@ -363,7 +361,4 @@ def sample_dataset(
         y[lo:hi] = yb + sigma * noise
         if hi > len(designs):
             designs[lo:hi] = block[: max(len(designs) - lo, 0)]
-    return Dataset(
-        n1=gt.n1, n2=gt.n2, sigma=float(sigma), seed=int(seed),
-        y=y, designs_flat=designs,
-    )
+    return Dataset(n1=gt.n1, n2=gt.n2, seed=int(seed), y=y, designs_flat=designs)

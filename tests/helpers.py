@@ -8,7 +8,7 @@ import numpy as np
 
 from mixsense import core, synth
 from mixsense import scaledtgd as tgd
-from mixsense.errors import InvalidInputError, PreconditionerSingularError
+from mixsense.errors import InvalidInputError, NumericalError
 from mixsense.synth import SUB
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -24,7 +24,7 @@ def manual_dataset(designs, y):
     designs = np.asarray(designs, dtype=float)
     n, n1, n2 = designs.shape
     return synth.Dataset(
-        n1=n1, n2=n2, sigma=0.0, seed=0,
+        n1=n1, n2=n2, seed=0,
         y=np.asarray(y, dtype=float),
         designs_flat=designs.reshape(n, n1 * n2).copy(),
     )
@@ -96,7 +96,7 @@ def two_pass_refine(dataset, inits, cfgs, truths=None):
             f, cfg = factors[k], cfgs[k]
             try:
                 factors[k] = tgd._update(f, grad.reshape(dataset.n1, dataset.n2), cfg.eta / N)
-            except PreconditionerSingularError:
+            except NumericalError:
                 traces[k].stop_reason = "singular_preconditioner"
                 raise
             prod = f.product()

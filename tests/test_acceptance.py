@@ -207,7 +207,7 @@ def check_reparameterization_invariance():
     designs = g.standard_normal((400, n1 * n2))
     m_true = g.standard_normal((n1, n2))
     ds = synth.Dataset(
-        n1=n1, n2=n2, sigma=0.0, seed=0,
+        n1=n1, n2=n2, seed=0,
         y=designs @ m_true.ravel(), designs_flat=designs,
     )
     for _ in range(100):
@@ -232,7 +232,7 @@ def check_fixed_points_bit_exact():
     designs = g.standard_normal((400, 20))
     y = designs @ pair.product().ravel()
     ds = synth.Dataset(
-        n1=4, n2=5, sigma=0.0, seed=0, y=y, designs_flat=designs,
+        n1=4, n2=5, seed=0, y=y, designs_flat=designs,
     )
     out = tgd.refine_components(ds, [pair], [tgd.TgdConfig(eta=1.3, alpha=0.8, t0=1)])[0]
     assert (out.final.l == pair.l).all() and (out.final.r == pair.r).all()
@@ -240,7 +240,7 @@ def check_fixed_points_bit_exact():
     other = g.standard_normal((4, 5))
     y_mixed = np.concatenate([y[:200], designs[200:] @ other.ravel()])
     ds_mixed = synth.Dataset(
-        n1=4, n2=5, sigma=0.0, seed=0, y=y_mixed, designs_flat=designs,
+        n1=4, n2=5, seed=0, y=y_mixed, designs_flat=designs,
     )
     out = tgd.refine_components(ds_mixed, [pair], [tgd.TgdConfig(eta=1.3, alpha=0.4, t0=1)])[0]
     assert out.trace.taus[0] == 0.0
@@ -322,7 +322,7 @@ def spectral_init_run(seed, kappa, eta=0.7, n=30, r=2, mult=50, t0=300):
     m = u @ np.diag([float(kappa), 1.0]) @ v.T
     designs = g.standard_normal((mult * n * r, n * n))
     ds = synth.Dataset(
-        n1=n, n2=n, sigma=0.0, seed=seed,
+        n1=n, n2=n, seed=seed,
         y=designs @ m.ravel(), designs_flat=designs,
     )
     sub = mx.subspace_estimate(mx.data_matrix(ds), r)

@@ -1,12 +1,14 @@
 """The library names that the benchmark harness wraps or captures still
 resolve, so that a refactor cannot silently zero a per-layer metric or
 empty the capture a workload check reads, and the harness's own workload
-calls still run against the library."""
+calls and its self-check still run against the library."""
 
 import dataclasses
 import importlib
 import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,12 @@ def test_workload_calls_run():
     report = workloads.solve(dataset, cfg)
     assert workloads.check_dataset_budget(wl, dataset) is None
     assert workloads.check_matches_stored(wl, gt, cfg, 0, dataset, report, []) is None
+
+
+def test_selfcheck_passes():
+    # every workload check still accepts true results and trips on corrupted ones
+    proc = subprocess.run([sys.executable, "perfbench/selfcheck.py"], cwd=PERFBENCH.parent,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines and all(line.startswith("ok") for line in lines), proc.stdout

@@ -10,7 +10,7 @@ import pytest
 
 from helpers import BAD_INTS, BAD_NUMBERS
 from mixsense import cli, scaledtgd
-from mixsense.errors import ConfigError, MixsenseError, PreconditionerSingularError
+from mixsense.errors import ConfigError, MixsenseError, NumericalError
 
 
 def tiny_config(**overrides):
@@ -171,7 +171,7 @@ class TestRunCommand:
 
     def test_numerical_failure_exits_3_with_partial_output(self, tmp_path, monkeypatch):
         def singular(f):
-            raise PreconditionerSingularError("forced")
+            raise NumericalError("forced")
 
         monkeypatch.setattr(scaledtgd, "_gram_solve_factor", singular)  # a stage-3 abort
         path = write_config(tmp_path, tiny_config())
@@ -212,7 +212,7 @@ class TestRunCommand:
             if state["trial"] == 2:
                 state["calls"] += 1
                 if state["calls"] == 5:
-                    raise PreconditionerSingularError("forced")
+                    raise NumericalError("forced")
             return real_solve(f)
 
         monkeypatch.setattr(cli, "_run_trial", run_trial)

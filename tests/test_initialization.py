@@ -3,7 +3,7 @@ import pytest
 
 from helpers import manual_dataset, stacked_rows
 from mixsense import core, initialization as ini, scaledtgd, spectral, synth
-from mixsense.errors import InvalidInputError, RankDeficientInitError
+from mixsense.errors import InvalidInputError, NumericalError
 from mixsense.mlr_tensor import MlrEstimate
 from mixsense.spectral import SubspaceEstimate
 
@@ -104,7 +104,7 @@ class TestLiftAndFactor:
 
     def test_rank_deficient(self):
         sub = subspace(np.eye(2), np.eye(2))
-        with pytest.raises(RankDeficientInitError):
+        with pytest.raises(NumericalError, match="lifted matrix supports rank"):
             ini.lift_and_factor(core.vec(np.diag([1.0, 0.0])), sub, r_k=2)
 
     def test_rank_out_of_range(self):

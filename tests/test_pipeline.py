@@ -8,7 +8,7 @@ import pytest
 from helpers import BAD_INTS, BAD_NUMBERS, truncated_gaussian_second_moment
 from mixsense import core, initialization as ini, pipeline as pl, scaledtgd, spectral, synth
 from mixsense.errors import (
-    InvalidInputError, MixsenseError, PipelineStageError, PreconditionerSingularError,
+    InvalidInputError, MixsenseError, NumericalError, PipelineStageError,
 )
 
 
@@ -325,7 +325,7 @@ class TestRunPipeline:
             # two calls per update: the fifth is the first of iteration 2
             calls.append(1)
             if len(calls) == 5:
-                raise PreconditionerSingularError("forced")
+                raise NumericalError("forced")
             return real_solve(f)
 
         monkeypatch.setattr(scaledtgd, "_gram_solve_factor", solve)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mixsense import spectral, synth
 from mixsense import scaledtgd as tgd
-from mixsense.errors import InvalidInputError, PreconditionerSingularError
+from mixsense.errors import InvalidInputError, NumericalError
 from mixsense.initialization import FactorPair
 
 from helpers import BAD_INTS, BAD_NUMBERS, manual_dataset, stacked_rows, two_pass_refine
@@ -135,9 +135,9 @@ class TestStep:
     def test_preconditioner_singular(self, rng):
         ds, _ = exact_fit_dataset(rng, rng.standard_normal((4, 2)), rng.standard_normal((4, 2)), 50)
         bad = FactorPair(l=np.hstack([np.ones((4, 1)), np.ones((4, 1))]), r=rng.standard_normal((4, 2)))
-        with pytest.raises(PreconditionerSingularError):
+        with pytest.raises(NumericalError, match="factor Gram matrix numerically singular"):
             tgd.refine_components(ds, [bad], [tgd.TgdConfig(eta=1.0, alpha=1.0, t0=1)])
-        with pytest.raises(PreconditionerSingularError) as exc_info:
+        with pytest.raises(NumericalError, match="factor Gram matrix numerically singular") as exc_info:
             tgd.refine_components(ds, [bad], [tgd.TgdConfig(eta=1.0, alpha=1.0, t0=5)])
         assert len(exc_info.value.trace) == 1
         assert exc_info.value.trace.stop_reason == "singular_preconditioner"

@@ -92,6 +92,20 @@ class TestMakeGroundTruth:
         for k in range(2):
             assert (a.matrix(k) == b.matrix(k)).all()
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="component k's basis streams spawn_key=(k, 0) and (k, 1) are the "
+        "sample streams (1, i) for k = 1, so one seed shared by truth and data "
+        "makes sample 0 repeat component 1's column-basis draw",
+    )
+    def test_bases_share_no_sample_stream(self):
+        n1, n2, r, seed = 6, 5, 2, 7
+        gt = synth.make_ground_truth(n1, n2, [r] * 3, [1 / 3] * 3, [[1.0] * r] * 3, seed)
+        ds = synth.sample_dataset(gt, N=3, sigma=0.0, seed=seed)
+        q, rr = np.linalg.qr(ds.designs_flat[0, : n1 * r].reshape(n1, r))
+        q = q * np.where(np.diag(rr) < 0.0, -1.0, 1.0)
+        assert not np.array_equal(q, gt.components[1].u_star)
+
 
 class TestSampleDataset:
     def test_exact_divisibility_counts(self):
@@ -222,7 +236,7 @@ class TestSampleDataset:
     def test_dataset_array_checks(self):
         def make(y, designs_flat, seed=0):
             return synth.Dataset(
-                n1=2, n2=3, sigma=0.0, seed=seed, y=y, designs_flat=designs_flat,
+                n1=2, n2=3, seed=seed, y=y, designs_flat=designs_flat,
             )
 
         make(np.zeros(4), np.zeros((4, 6)))
@@ -248,10 +262,9 @@ class TestSampleDataset:
     @pytest.mark.parametrize("field, value", [
         *((name, v) for name in ("n1", "n2", "seed") for v in BAD_INTS),
         ("n1", 2.0), ("n2", 3.0),
-        *(("sigma", v) for v in BAD_NUMBERS),
     ])
     def test_dataset_bad_values(self, field, value):
-        args = {"n1": 2, "n2": 3, "sigma": 0.0, "seed": 0, "y": np.zeros(4),
+        args = {"n1": 2, "n2": 3, "seed": 0, "y": np.zeros(4),
                 "designs_flat": np.zeros((4, 6))}
         with pytest.raises(InvalidInputError):
             synth.Dataset(**{**args, field: value})
