@@ -5,12 +5,14 @@ Randomness layout. Every dataset is derived from one integer master seed:
 
 * label shuffle     -> ``SeedSequence(seed, spawn_key=(0,))``
 * sample i          -> ``SeedSequence(seed, spawn_key=(1, i))``, which first
-  yields the ``n1*n2`` design entries (row-major) and then one standard
-  normal used for the measurement noise.
+  yields the ``n1*n2`` design entries (row-major), each rounded to float32,
+  and then one standard normal, not rounded, used for the measurement noise.
 
 Because each sample owns an independent stream, a dataset stores the design
 rows of a prefix of its samples, as many as its budget allows, and
-regenerates the rest on demand with bit-identical results.
+regenerates the rest on demand with bit-identical results. The entries are
+float32 values held in float64, so storing them as float32 loses no bit and
+all arithmetic, `y` included, stays float64.
 
 The per-sample streams are not built through ``SeedSequence`` objects:
 `_draw_rows` derives the PCG64 state words of a whole block of samples in
@@ -48,8 +50,9 @@ BLOCK = 1024
 # vectors to each slice while it is in cache; a multiple of 4 dividing BLOCK.
 SUB = 64
 
-# Default budget for stored design rows, in entries (~3.2 GB of float64);
-# a dataset stores min(N, budget // (n1 * n2)) rows.
+# Default budget for stored design rows, in 8-byte words (~3.2 GB). A
+# dataset whose N * n1 * n2 entries fit stores them all as float64; one that
+# does not stores min(N, 2 * budget // (n1 * n2)) rows as float32.
 DEFAULT_STORED_BUDGET = 400_000_000
 
 
@@ -158,7 +161,8 @@ class Dataset:
     and no noise level: those decide each `y` and are not kept.
     `designs_flat` holds the design rows of samples ``[0, stored_rows)``;
     rows from `stored_rows` on are regenerated on demand from `seed`, so 0
-    stored rows is a fully streamed dataset and N a fully stored one.
+    stored rows is a fully streamed dataset and N a fully stored one. A
+    float32 `designs_flat` is kept; any other dtype is widened to float64.
     """
 
     n1: int
@@ -169,7 +173,8 @@ class Dataset:
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.float64)
-        self.designs_flat = np.asarray(self.designs_flat, dtype=np.float64)
+        flat = np.asarray(self.designs_flat)
+        self.designs_flat = flat if flat.dtype == np.float32 else np.asarray(flat, np.float64)
         if self.y.ndim != 1 or not np.isfinite(self.y).all():
             raise InvalidInputError("y must be a finite 1-D array")
         nn = core.check_int(self.n1, "n1", 1) * core.check_int(self.n2, "n2", 1)
@@ -191,20 +196,21 @@ class Dataset:
         return int(self.designs_flat.shape[0])
 
     def iter_design_blocks(self, needed=None) -> Iterator[Tuple[int, int, np.ndarray]]:
-        """Yield (lo, hi, rows) over fixed-size blocks in sample order. A
-        wholly stored block is a view of `designs_flat`; otherwise its stored
-        rows are copied and the rest regenerated from `seed`, except that
-        with a boolean mask `needed` over the samples, unstored rows outside
-        it read as zeros.
+        """Yield (lo, hi, rows) over fixed-size float64 blocks in sample
+        order. A wholly stored float64 block is a view of `designs_flat`;
+        otherwise its stored rows are copied (widened from float32) and the
+        rest regenerated from `seed`, except that with a boolean mask
+        `needed` over the samples, unstored rows outside it read as zeros.
 
-        The blocks that are not wholly stored share one buffer, allocated
-        once per call: each is overwritten by the next, so a caller that
-        keeps rows past the next block must copy them."""
+        The blocks that are not views share one buffer, allocated once per
+        call: each is overwritten by the next, so a caller that keeps rows
+        past the next block must copy them."""
         shape = (min(BLOCK, self.N), self.n1 * self.n2)
-        buf = np.empty(shape) if self.stored_rows < self.N else None
+        viewed = self.stored_rows if self.designs_flat.dtype == np.float64 else 0
+        buf = np.empty(shape) if viewed < self.N else None
         for lo in range(0, self.N, BLOCK):
             hi = min(lo + BLOCK, self.N)
-            if hi <= self.stored_rows:
+            if hi <= viewed:
                 yield lo, hi, self.designs_flat[lo:hi]
                 continue
             rows = buf[: hi - lo]
@@ -289,6 +295,11 @@ def _sample_words(seed: int, idx: np.ndarray) -> np.ndarray:
     return state.view("<u8").astype(np.uint64)
 
 
+# Rows per float32 rounding cast in `_draw_rows`: a cast per row pays the
+# call overhead on every row, and a run this short is still in cache.
+_ROUND_RUN = 16
+
+
 class _Words(np.random.bit_generator.ISeedSequence):
     """Seed source that hands a PCG64 its precomputed state words."""
 
@@ -304,12 +315,19 @@ def _draw_rows(seed: int, idx, out: np.ndarray, at) -> np.ndarray:
     return the samples' noise draws. Sample i's stream
     ``SeedSequence(seed, spawn_key=(1, i))`` yields the design entries first
     and the noise draw after them; its PCG64 is seeded from the words of
-    `_sample_words`, so the draws are those of that stream bit for bit."""
+    `_sample_words`, so the draws are those of that stream bit for bit, with
+    each design entry rounded to float32, a run of `_ROUND_RUN` consecutive
+    rows at a time while it is still in cache."""
     noise = np.empty(len(idx))
+    start = 0  # the first drawn row not yet rounded
     for j, (row, words) in enumerate(zip(at, _sample_words(seed, idx))):
         rng = np.random.Generator(np.random.PCG64(_Words(words)))
         rng.standard_normal(out=out[row])
         noise[j] = rng.standard_normal()
+        if j + 1 == len(at) or at[j + 1] != row + 1 or j + 1 - start == _ROUND_RUN:
+            run = out[at[start] : row + 1]
+            run[...] = run.astype(np.float32)
+            start = j + 1
     return noise
 
 
@@ -325,9 +343,13 @@ def sample_dataset(
     Label counts follow the exact largest-remainder partition of the
     proportions (each count is floor or ceil of p_k * N) and are then
     globally shuffled. Designs have i.i.d. standard normal entries and
-    ``y_i = <A_i, M_label(i)> + sigma * z_i``. The first
-    ``min(N, stored_budget // (n1 * n2))`` design rows are stored; the rest
-    are regenerated whenever they are read.
+    ``y_i = <A_i, M_label(i)> + sigma * z_i``, with each design entry
+    rounded to float32 as it is drawn. `stored_budget` counts 8-byte words:
+    if all ``N * n1 * n2`` entries fit they are stored as float64, otherwise
+    the first ``min(N, 2 * stored_budget // (n1 * n2))`` rows as float32.
+    Unstored rows are regenerated and float32 rows widened at every read;
+    within ~4% of a full fit, widening all rows costs more per pass than
+    regenerating the few a float64 prefix would lack.
     """
     if core.check_int(N, "N", gt.K) >= 2**32:
         raise InvalidInputError(f"need N < 2**32 so that each sample index is one seed word, got {N}")
@@ -342,12 +364,14 @@ def sample_dataset(
     nn = gt.n1 * gt.n2
     vec_ms = [gt.matrix(k).ravel() for k in range(gt.K)]
     y = np.empty(N)
-    designs = np.empty((min(N, stored_budget // nn), nn))
-    # blocks past the stored prefix are drawn into one reusable buffer
-    spare = np.empty((min(BLOCK, N), nn)) if len(designs) < N else None
+    fits = N * nn <= stored_budget
+    stored = N if fits else min(N, 2 * stored_budget // nn)
+    designs = np.empty((stored, nn), dtype=np.float64 if fits else np.float32)
+    # blocks not drawn in place are drawn into one reusable float64 buffer
+    spare = None if fits else np.empty((min(BLOCK, N), nn))
     for lo in range(0, N, BLOCK):
         hi = min(lo + BLOCK, N)
-        block = designs[lo:hi] if hi <= len(designs) else spare[: hi - lo]
+        block = designs[lo:hi] if fits else spare[: hi - lo]
         noise = _draw_rows(seed, np.arange(lo, hi), block, range(hi - lo))
         yb = np.empty(hi - lo)
         lab = labels[lo:hi]
@@ -359,6 +383,6 @@ def sample_dataset(
                 vals = block @ vec_ms[k]
                 yb[mask] = vals[mask]
         y[lo:hi] = yb + sigma * noise
-        if hi > len(designs):
+        if not fits:
             designs[lo:hi] = block[: max(len(designs) - lo, 0)]
     return Dataset(n1=gt.n1, n2=gt.n2, seed=int(seed), y=y, designs_flat=designs)

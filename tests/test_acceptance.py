@@ -291,8 +291,9 @@ def check_streamed_stored_equality():
     gt = synth.make_ground_truth(6, 6, [2, 2], [0.5, 0.5], [[1.0, 1.0]] * 2, seed=23)
     stored = synth.sample_dataset(gt, 2100, 0.25, seed=29, stored_budget=2100 * 36)
     idx = np.arange(2100)
-    # none stored, and a prefix of 1500 rows that ends inside the second block
-    for budget in (0, 1500 * 36):
+    # none stored, and a float32 prefix of 1500 rows that ends inside the
+    # second block
+    for budget in (0, 1500 * 36 // 2):
         other = synth.sample_dataset(gt, 2100, 0.25, seed=29, stored_budget=budget)
         assert (stored.y == other.y).all()
         assert (stacked_rows(stored, idx) == stacked_rows(other, idx)).all()

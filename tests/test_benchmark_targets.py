@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -54,6 +55,10 @@ def test_workload_calls_run():
     wl = dataclasses.replace(workloads.WORKLOADS["streamed_budget"], N=6480)
     gt, cfg = workloads.setup(wl, 0)
     dataset = workloads.sample(wl, gt, 0)
+    # the budget holds 40% of the entries as float64, so 80% of the rows as
+    # float32
+    assert dataset.designs_flat.dtype == np.float32
+    assert dataset.stored_rows == 2 * wl.stored_budget // (workloads.N_DIM * workloads.N_DIM)
     assert 0 < dataset.stored_rows < dataset.N
     report = workloads.solve(dataset, cfg)
     assert workloads.check_dataset_budget(wl, dataset) is None

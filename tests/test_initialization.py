@@ -40,15 +40,15 @@ class TestCompressSamples:
         assert np.abs(cov - np.eye(4)).max() < 0.05
 
     def test_matches_einsum_oracle(self):
-        # n1 != n2, and N one block plus 5 rows: all stored, the prefix ending
-        # inside the first block, and all streamed give the same bits
+        # n1 != n2, and N one block plus 5 rows: all stored, a float32 prefix
+        # ending inside the first block, and all streamed give the same bits
         n1, n2, N = 6, 5, synth.BLOCK + 5
         gt = synth.make_ground_truth(n1, n2, [2], [1.0], [[1.0, 0.5]], seed=4)
         u = synth.random_orthonormal(n1, 3, seed=1)
         v = synth.random_orthonormal(n2, 3, seed=2)
         outs = []
-        for stored in (N, 600, 0):
-            ds = synth.sample_dataset(gt, N=N, sigma=0.0, seed=8, stored_budget=stored * n1 * n2)
+        for budget, stored in ((N * n1 * n2, N), (600 * n1 * n2 // 2, 600), (0, 0)):
+            ds = synth.sample_dataset(gt, N=N, sigma=0.0, seed=8, stored_budget=budget)
             assert ds.stored_rows == stored
             outs.append(ini.compress_samples(ds, subspace(u, v)).a)
         designs = stacked_rows(ds, np.arange(N)).reshape(N, n1, n2)
@@ -231,9 +231,10 @@ class TestInitializeAll:
     def test_residuals_do_not_depend_on_storage(self):
         gt = synth.make_ground_truth(6, 6, [1, 1], [0.5, 0.5], [[1.0], [1.0]], seed=5)
         results = []
-        # all rows stored, a prefix that ends inside the second block, none
-        for rows in (2100, 1500, 0):
-            ds = synth.sample_dataset(gt, 2100, 0.1, seed=5, stored_budget=rows * 36)
+        # all rows stored as float64, all as float32, a float32 prefix that
+        # ends inside the second block, none
+        for budget, rows in ((2100 * 36, 2100), (2100 * 18, 2100), (1500 * 18, 1500), (0, 0)):
+            ds = synth.sample_dataset(gt, 2100, 0.1, seed=5, stored_budget=budget)
             assert ds.stored_rows == rows
             sub = spectral.subspace_estimate(spectral.data_matrix(ds), 2)
             results.append(ini.initialize_all(ds, sub, 2, [1, 1], seed=0).residuals)

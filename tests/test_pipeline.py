@@ -189,9 +189,11 @@ class TestRunPipeline:
         gt = synth.make_ground_truth(10, 10, [1], [1.0], [[1.0]], seed=8)
         cfg = pl.PipelineConfig(k_components=1, supplied_ranks=(1,), t0=25, seed=8)
         reports = []
-        # all rows stored, none stored, and a prefix that ends inside a block
-        for stored_rows in (1_000, 0, 300):
-            ds = synth.sample_dataset(gt, 1_000, 0.05, seed=8, stored_budget=stored_rows * 100)
+        # all rows stored as float64, none stored, a float32 prefix that ends
+        # inside a block, and all rows stored as float32
+        layouts = ((1_000 * 100, 1_000), (0, 0), (300 * 50, 300), (1_000 * 50, 1_000))
+        for budget, stored_rows in layouts:
+            ds = synth.sample_dataset(gt, 1_000, 0.05, seed=8, stored_budget=budget)
             assert ds.stored_rows == stored_rows
             reports.append(pl.run_pipeline(ds, None, cfg, truth=gt))
         for rep in reports[1:]:

@@ -66,12 +66,14 @@ class TestResiduals:
         gt = synth.make_ground_truth(4, 4, [1], [1.0], [[1.0]], seed=0)
         stored = synth.sample_dataset(gt, 600, 0.1, seed=2, stored_budget=600 * 16)
         streamed = synth.sample_dataset(gt, 600, 0.1, seed=2, stored_budget=0)
-        hybrid = synth.sample_dataset(gt, 600, 0.1, seed=2, stored_budget=300 * 16)
+        narrow = synth.sample_dataset(gt, 600, 0.1, seed=2, stored_budget=600 * 16 // 2)
+        hybrid = synth.sample_dataset(gt, 600, 0.1, seed=2, stored_budget=300 * 16 // 2)
+        assert narrow.stored_rows == 600 and narrow.designs_flat.dtype == np.float32
         assert hybrid.stored_rows == 300  # the prefix ends inside the only block
         pair = FactorPair(l=np.ones((4, 1)), r=np.ones((4, 1)))
         expected = tgd._residual_pass(stored, [pair])[0]
-        assert (tgd._residual_pass(streamed, [pair])[0] == expected).all()
-        assert (tgd._residual_pass(hybrid, [pair])[0] == expected).all()
+        for other in (streamed, narrow, hybrid):
+            assert (tgd._residual_pass(other, [pair])[0] == expected).all()
 
 
 class TestTruncationSet:
@@ -292,7 +294,7 @@ def same_run(a, b):
 
 class TestRefineComponents:
     def test_each_component_matches_its_solo_run(self):
-        gt, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
+        gt, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30 // 2)
         truths = gt.matrices()
         fused = tgd.refine_components(ds, inits, cfgs, truths)
         assert [run.trace.stop_reason for run in fused] == ["budget", "early_stop", "budget"]
@@ -303,7 +305,7 @@ class TestRefineComponents:
             assert run.trace.rel_errors[-1] < run.trace.rel_errors[0]
 
     def test_first_residuals_replace_the_first_pass(self, monkeypatch):
-        gt, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
+        gt, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30 // 2)
         first = tgd._residual_pass(ds, inits)
         plain = tgd.refine_components(ds, inits, cfgs, gt.matrices())
         calls, real_pass = [], tgd._residual_pass
@@ -321,7 +323,7 @@ class TestRefineComponents:
         assert len(calls) == max(len(run.trace) for run in given) - 2
 
     def test_first_residuals_each_component_matches_its_solo_run(self):
-        gt, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
+        gt, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30 // 2)
         # residuals off by a rounding-sized amount, as stage 2's are
         first = tgd._residual_pass(ds, inits) * (1 + 1e-14)
         fused = tgd.refine_components(ds, inits, cfgs, gt.matrices(), first)
@@ -330,7 +332,7 @@ class TestRefineComponents:
             assert same_run(run, solo[0])
 
     def test_first_residuals_shape_checked(self):
-        _, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
+        _, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30 // 2)
         first = tgd._residual_pass(ds, inits)
         for bad in (first[:2], first[:, :-1], first[0], first.T):
             with pytest.raises(InvalidInputError):
@@ -338,15 +340,32 @@ class TestRefineComponents:
 
     def test_storage_does_not_change_bits(self):
         runs = []
-        for rows in (2100, 1500, 0):  # stored, prefix ending inside a block, streamed
-            _, ds, inits, cfgs = mixture_problem(stored_budget=rows * 30)
+        # stored as float64, stored as float32, a float32 prefix ending
+        # inside a block, streamed
+        for budget, rows in ((2100 * 30, 2100), (2100 * 15, 2100), (1500 * 15, 1500), (0, 0)):
+            _, ds, inits, cfgs = mixture_problem(stored_budget=budget)
             assert ds.stored_rows == rows
             runs.append(tgd.refine_components(ds, inits, cfgs))
         for other in runs[1:]:
             assert all(same_run(a, b) for a, b in zip(runs[0], other))
 
+    def test_planted_factors_are_a_fixed_point(self):
+        # y is formed from the rounded rows, so in every layout the rows read
+        # back give residuals of exactly zero at the planted factors: the
+        # level is 0, the gradient sum 0 and the factors do not move
+        gt = synth.make_ground_truth(6, 5, [2], [1.0], [[1.0, 1.0]], seed=3)
+        c = gt.components[0]
+        planted = FactorPair(l=c.u_star, r=c.v_star)
+        assert planted.product().tobytes() == gt.matrix(0).tobytes()
+        cfg = tgd.TgdConfig(eta=3.9, alpha=0.8, t0=1)
+        for budget in (2100 * 30, 2100 * 15, 1500 * 15, 0):
+            ds = synth.sample_dataset(gt, 2100, 0.0, seed=3, stored_budget=budget)
+            run = tgd.refine_components(ds, [planted], [cfg])[0]
+            assert run.trace.taus[0] == 0.0
+            assert (run.final.l == planted.l).all() and (run.final.r == planted.r).all()
+
     def test_regenerated_rows_per_pass(self, monkeypatch):
-        _, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
+        _, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30 // 2)
         events = []
         real_draw, real_trunc = synth._draw_rows, tgd.truncation_set
 
@@ -408,7 +427,7 @@ class TestRefineComponents:
         # 40% stored, t0 = 2 from stage-2-style residuals: step 0 gathers its
         # kept rows, step 1 walks the residuals once and then reads only the
         # rows between tau_0 and tau_1
-        gt, ds, inits, _ = mixture_problem(stored_budget=840 * 30)
+        gt, ds, inits, _ = mixture_problem(stored_budget=840 * 30 // 2)
         one, two = ([tgd.TgdConfig(eta=3.9, alpha=0.8 / 3, t0=t0)] * 3 for t0 in (1, 2))
         first = tgd._residual_pass(ds, inits)
         iterate1 = [run.final for run in tgd.refine_components(ds, inits, one, None, first)]
@@ -437,7 +456,7 @@ class TestRefineComponents:
             tgd.refine_components(ds, [bad, *inits[1:]], cfgs)
 
     def test_final_iterates_read_no_designs(self, monkeypatch):
-        gt, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
+        gt, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30 // 2)
         first = tgd._residual_pass(ds, inits)
         events, passes = [], []
         real_draw, real_blocks = synth._draw_rows, synth.Dataset.iter_design_blocks
@@ -514,13 +533,13 @@ def assert_agrees_with_the_two_pass_loop(ds, inits, cfgs, truths):
 
 class TestPredictedBand:
     def test_default_band_agrees_with_the_two_pass_loop(self):
-        for gt, ds, inits, cfgs in (mixture_problem(stored_budget=1500 * 30), rank2_problem(t0=30),
-                                    five_component_problem()):
+        for gt, ds, inits, cfgs in (mixture_problem(stored_budget=1500 * 30 // 2),
+                                    rank2_problem(t0=30), five_component_problem()):
             assert_agrees_with_the_two_pass_loop(ds, inits, cfgs, gt.matrices())
 
     @pytest.mark.parametrize("t0", [1, 2])
     def test_short_runs_are_the_two_pass_loop(self, t0):
-        gt, ds, inits, _ = mixture_problem(stored_budget=1500 * 30)
+        gt, ds, inits, _ = mixture_problem(stored_budget=1500 * 30 // 2)
         cfgs = [tgd.TgdConfig(eta=3.9, alpha=0.8 / 3, t0=t0)] * 3
         if t0 == 2:  # the second step sums to a predicted level
             assert_agrees_with_the_two_pass_loop(ds, inits, cfgs, gt.matrices())
@@ -549,7 +568,7 @@ class TestPredictedBand:
 
         monkeypatch.setattr(tgd, "_residual_pass", residual_pass)
         monkeypatch.setattr(tgd, "_band_pass", band_pass)
-        _, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30)
+        _, ds, inits, cfgs = mixture_problem(stored_budget=1500 * 30 // 2)
         runs = tgd.refine_components(ds, inits, cfgs)
         expected = {"add": 0, "subtract": 0}
         for run in runs:
@@ -566,7 +585,7 @@ def five_component_problem(N=2100, seed=5):
     the gradient GEMM's weight blocks, and component 4 from the second
     block into the first."""
     gt = synth.make_ground_truth(6, 5, [1] * 5, [0.2] * 5, [[1.0]] * 5, seed=seed)
-    ds = synth.sample_dataset(gt, N, 0.0, seed=seed, stored_budget=1500 * 30)
+    ds = synth.sample_dataset(gt, N, 0.0, seed=seed, stored_budget=1500 * 30 // 2)
     g = np.random.default_rng(seed)
     inits = [
         FactorPair(c.u_star + 0.05 * g.standard_normal(c.u_star.shape), c.v_star * c.sigma_star)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -104,7 +105,8 @@ class TestMakeGroundTruth:
         ds = synth.sample_dataset(gt, N=3, sigma=0.0, seed=seed)
         q, rr = np.linalg.qr(ds.designs_flat[0, : n1 * r].reshape(n1, r))
         q = q * np.where(np.diag(rr) < 0.0, -1.0, 1.0)
-        assert not np.array_equal(q, gt.components[1].u_star)
+        # the entries are rounded to float32, so a repeated draw agrees to ~1e-8
+        assert not np.allclose(q, gt.components[1].u_star, rtol=0.0, atol=1e-6)
 
 
 class TestSampleDataset:
@@ -137,20 +139,32 @@ class TestSampleDataset:
             assert abs(ds.y[i] - np.vdot(a, m)) < 1e-12 * max(1.0, abs(ds.y[i]))
 
     def test_noiseless_consistency_bitexact(self):
+        # stored as float64, as float32, and a float32 prefix: y is formed
+        # from the rounded rows, so widened rows give back each y_i bit for bit
         gt = equal_mixture(5, K=2, r=1, seed=4)
-        ds = synth.sample_dataset(gt, N=500, sigma=0.0, seed=9)
-        recovered_labels(gt, ds)  # asserts that exactly one component matches each y_i
+        N, nn = 2100, 25
+        labels = []
+        for budget in (N * nn, N * nn // 2, 1500 * nn // 2):
+            ds = synth.sample_dataset(gt, N=N, sigma=0.0, seed=9, stored_budget=budget)
+            assert ds.designs_flat.dtype == (np.float64 if budget == N * nn else np.float32)
+            # asserts that exactly one component matches each y_i
+            labels.append(recovered_labels(gt, ds))
+        assert (labels[0] == labels[1]).all() and (labels[0] == labels[2]).all()
 
     def test_streamed_stored_bit_equality(self):
         gt = equal_mixture(6, K=2, r=2, seed=11)
         nn = 36
         stored = synth.sample_dataset(gt, N=2100, sigma=0.3, seed=13, stored_budget=2100 * nn)
         streamed = synth.sample_dataset(gt, N=2100, sigma=0.3, seed=13, stored_budget=0)
-        # the stored prefix ends inside the second block
-        hybrid = synth.sample_dataset(gt, N=2100, sigma=0.3, seed=13, stored_budget=1500 * nn)
-        assert (stored.stored_rows, streamed.stored_rows, hybrid.stored_rows) == (2100, 0, 1500)
+        # every row stored as float32
+        narrow = synth.sample_dataset(gt, N=2100, sigma=0.3, seed=13, stored_budget=2100 * nn // 2)
+        # the stored float32 prefix ends inside the second block
+        hybrid = synth.sample_dataset(gt, N=2100, sigma=0.3, seed=13, stored_budget=1500 * nn // 2)
+        rows = (stored.stored_rows, streamed.stored_rows, narrow.stored_rows, hybrid.stored_rows)
+        assert rows == (2100, 0, 2100, 1500)
+        assert narrow.designs_flat.dtype == hybrid.designs_flat.dtype == np.float32
         idx = np.array([0, 1, 17, 1024, 1499, 1500, 2099])
-        for other in (streamed, hybrid):
+        for other in (streamed, narrow, hybrid):
             assert (stored.y == other.y).all()
             assert (stacked_rows(stored, idx) == stacked_rows(other, idx)).all()
             blocks = [(lo, hi, rows.copy()) for lo, hi, rows in other.iter_design_blocks()]
@@ -162,7 +176,8 @@ class TestSampleDataset:
         # the stored prefix ends inside the second of three blocks
         gt = equal_mixture(4, K=2, r=1, seed=6)
         N, nn = 2100, 16
-        ds = synth.sample_dataset(gt, N=N, sigma=0.0, seed=3, stored_budget=1500 * nn)
+        ds = synth.sample_dataset(gt, N=N, sigma=0.0, seed=3, stored_budget=1500 * nn // 2)
+        assert ds.stored_rows == 1500
         truth = synth.sample_dataset(gt, N=N, sigma=0.0, seed=3, stored_budget=N * nn)
         needed = np.random.default_rng(0).random(N) < 0.3
         stored = np.arange(N) < ds.stored_rows
@@ -189,11 +204,18 @@ class TestSampleDataset:
         gt = equal_mixture(4, K=1, r=1, seed=2)
         nn = 16
         small = synth.sample_dataset(gt, N=8, sigma=0.0, seed=0)
-        assert small.stored_rows == 8
-        for budget in (0, 4, nn, 5 * nn + 3, 8 * nn, 100 * nn):
+        assert small.stored_rows == 8 and small.designs_flat.dtype == np.float64
+        for budget in (0, 4, nn, 2 * nn + 5, 5 * nn + 3, 8 * nn - 1, 8 * nn, 100 * nn):
             ds = synth.sample_dataset(gt, N=8, sigma=0.0, seed=0, stored_budget=budget)
-            assert ds.stored_rows == min(8, budget // nn)
+            if budget >= 8 * nn:
+                # the whole dataset fits: every row as float64
+                assert ds.stored_rows == 8 and ds.designs_flat.dtype == np.float64
+            else:
+                # twice the rows as float32
+                assert ds.stored_rows == min(8, 2 * budget // nn)
+                assert ds.designs_flat.dtype == np.float32
             assert ds.designs_flat.shape == (ds.stored_rows, nn)
+            assert ds.designs_flat.nbytes <= 8 * budget
             assert (small.y == ds.y).all()
             assert (stacked_rows(small, np.arange(8)) == stacked_rows(ds, np.arange(8))).all()
 
@@ -249,6 +271,26 @@ class TestSampleDataset:
         with pytest.raises(InvalidInputError):
             make(np.zeros(4), np.zeros((0, 6)), seed=-1)  # rows cannot be regenerated
 
+    def test_caller_float32_designs(self):
+        gt = equal_mixture(4, K=1, r=1, seed=2)
+        N = 2100
+        wide = synth.sample_dataset(gt, N=N, sigma=0.0, seed=3, stored_budget=N * 16)
+        for stored in (N, 1500):  # every block wholly stored; a prefix ending in block 2
+            designs = wide.designs_flat[:stored].astype(np.float32)
+            ds = synth.Dataset(n1=4, n2=4, seed=3, y=wide.y, designs_flat=designs)
+            # kept as float32, read-only, with no float64 copy
+            assert ds.designs_flat.dtype == np.float32
+            assert ds.designs_flat.nbytes == designs.nbytes
+            assert not ds.designs_flat.flags.writeable
+            widened = synth.Dataset(n1=4, n2=4, seed=3, y=wide.y,
+                                    designs_flat=designs.astype(np.float64))
+            pairs = zip(ds.iter_design_blocks(), widened.iter_design_blocks(),
+                        wide.iter_design_blocks())
+            for (lo, hi, rows), (lo2, hi2, rows2), (_, _, rows3) in pairs:
+                assert (lo, hi) == (lo2, hi2) and rows.dtype == np.float64
+                assert not np.shares_memory(rows, ds.designs_flat)
+                assert (rows == rows2).all() and (rows == rows3).all()
+
     @pytest.mark.parametrize("field, value", [
         *((name, v) for name in ("N", "seed", "stored_budget") for v in BAD_INTS),
         *(("sigma", v) for v in BAD_NUMBERS),
@@ -302,11 +344,17 @@ class TestSampleStreams:
 
     def test_draws_match_seed_sequence(self):
         nn = 37
-        at = np.arange(self.IDX.size)[::-1]  # rows written out of order
-        for seed in self.SEEDS:
-            out = np.zeros((self.IDX.size, nn))
-            noise = synth._draw_rows(seed, self.IDX, out, at)
-            for j, i in enumerate(self.IDX):
+        # rows written out of order; and in order in runs longer than
+        # _ROUND_RUN, split by two rows left untouched
+        layouts = [(self.IDX, np.arange(self.IDX.size)[::-1]),
+                   (np.arange(5, 45), np.r_[0:20, 22:42])]
+        for seed, (idx, at) in itertools.product(self.SEEDS, layouts):
+            out = np.full((at.max() + 1, nn), 0.1)  # 0.1 is no float32 value
+            noise = synth._draw_rows(seed, idx, out, at)
+            assert (np.delete(out, at, axis=0) == 0.1).all()
+            for j, i in enumerate(idx):
                 rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, int(i))))
-                assert out[at[j]].tobytes() == rng.standard_normal(nn).tobytes()
+                rounded = rng.standard_normal(nn).astype(np.float32).astype(np.float64)
+                assert out[at[j]].tobytes() == rounded.tobytes()
+                # the noise draw is the stream's next float64 draw, not rounded
                 assert noise[j] == rng.standard_normal()
